@@ -7,7 +7,7 @@ and a benchmark layer accounts the broadcast bytes against a per-component
 baseline.
 """
 
-from ._kernels import BACKEND as kernel_backend
-
+# The numpy kernels in ``cobsim._kernels``, the only backend.
+kernel_backend = "python"
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -62,17 +62,24 @@ class CostModel:
         )
 
 
-def cob_cost(m: int, model: CostModel) -> float:
-    """Expected bytes broadcast by one m-component instance."""
+def cob_breakdown(m: int, model: CostModel) -> dict[str, float]:
+    """Expected bytes broadcast by one m-component instance, per phase."""
     if m < 1:
         raise ValueError("m must be >= 1")
     mgc_msg = model.envelope + m * model.component_value_bytes
     mbba_msg = model.envelope + m * model.mbba_component_bytes
     final_msg = model.envelope + m + model.digest_bytes
-    total = 3 * model.committee_mgc * mgc_msg
-    total += model.expected_mbba_iterations * 3 * model.committee_mbba * mbba_msg
-    total += model.final_participants * final_msg  # certificate diffusion
-    return float(total)
+    return {
+        "mgc_bytes": 3 * model.committee_mgc * mgc_msg,
+        "mbba_bytes": model.expected_mbba_iterations * 3 * model.committee_mbba * mbba_msg,
+        "final_bytes": model.final_participants * final_msg,  # certificate diffusion
+    }
+
+
+def cob_cost(m: int, model: CostModel) -> float:
+    """Expected bytes broadcast by one m-component instance."""
+    parts = cob_breakdown(m, model)
+    return float(parts["mgc_bytes"] + parts["mbba_bytes"] + parts["final_bytes"])
 
 
 def algorand_baseline(m: int, model: CostModel) -> float:
@@ -159,22 +166,6 @@ def write_json(rows, model: CostModel, path, alpha: int = 20, beta: int = 11):
     detailed = []
     for row in rows:
         m = components_for(row["num_shards"], row["slot_kind"], alpha, beta)
-        mgc_msg = model.envelope + m * model.component_value_bytes
-        mbba_msg = model.envelope + m * model.mbba_component_bytes
-        final_msg = model.envelope + m + model.digest_bytes
-        detailed.append(
-            {
-                **row,
-                "components": m,
-                "breakdown": {
-                    "mgc_bytes": 3 * model.committee_mgc * mgc_msg,
-                    "mbba_bytes": model.expected_mbba_iterations
-                    * 3
-                    * model.committee_mbba
-                    * mbba_msg,
-                    "final_bytes": model.final_participants * final_msg,
-                },
-            }
-        )
+        detailed.append({**row, "components": m, "breakdown": cob_breakdown(m, model)})
     with open(path, "w") as fh:
         json.dump({"model": asdict(model), "rows": detailed}, fh, indent=2, sort_keys=True)

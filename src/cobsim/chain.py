@@ -16,6 +16,7 @@ the previous configuration.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -446,70 +447,95 @@ class VerifyFailure(ValueError):
         super().__init__(f"block {index}: {reason}")
 
 
+def _parse_block(raw, chain_id: bytes):
+    """One dumped block, typed: (block, its digest, stated digest, values,
+    certificate, digest of the certified output).
+
+    Raises KeyError, TypeError, ValueError or OverflowError when a field is
+    missing, mistyped or out of range, or holds bad hex.
+    """
+    def unhex(v):
+        return None if v is None else bytes.fromhex(v)
+
+    ed = None
+    if raw["epoch_data"] is not None:
+        ed = EpochData(
+            [unhex(v) for v in raw["epoch_data"]["parameters"]],
+            {(operator.index(s), operator.index(sh)): operator.index(n_)
+             for s, sh, n_ in raw["epoch_data"]["list_l"]},
+        )
+    epoch, slot = operator.index(raw["epoch"]), operator.index(raw["slot"])
+    blk = SyncBlock(bytes.fromhex(raw["prev"]), epoch, slot,
+                    [unhex(v) for v in raw["shard_digests"]], ed)
+    values = [unhex(v) for v in raw["values"]]
+    cert = raw["certificate"]
+    purpose = "epoch_reconfig" if ed is not None else "slot_timing"
+    inst = engine.CobInstanceId(chain_id, epoch, slot, purpose)
+    bits = tuple(operator.index(b) for b in cert["bits"])
+    supporters = [
+        engine.FinalVote(operator.index(s["node"]), bytes.fromhex(s["vrf"]), bytes.fromhex(s["sig"]))
+        for s in cert["supporters"]
+    ]
+    certificate = engine.Certificate(inst, bits, bytes.fromhex(cert["theta_digest"]), supporters)
+    return (blk, blk.digest(), bytes.fromhex(raw["digest"]), values, certificate,
+            engine.output_digest(inst.digest(), bits, values))
+
+
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _malformed(what: str, exc: Exception) -> str:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return f"malformed {what}: {detail}"
+
+
 def verify_chain_dump(dump: dict, registry) -> int:
     """Re-check every hash link and certificate; returns the block count.
 
-    Raises VerifyFailure with the first failing block index and reason.
+    Raises VerifyFailure with the first failing block index and reason,
+    also for a block with a missing field or a mistyped value.
     """
-    from . import values as values_mod
-
-    chain_id = bytes.fromhex(dump["chain_id"])
-    prev = crypto.digest(b"genesis", chain_id)
-    count = 0
-    blocks = dump["blocks"]
+    try:
+        chain_id = bytes.fromhex(dump["chain_id"])
+        blocks = list(dump["blocks"])
+    except _MALFORMED as exc:
+        raise VerifyFailure(0, _malformed("dump", exc)) from None
+    prev, last = crypto.digest(b"genesis", chain_id), None
     for idx, raw in enumerate(blocks):
-        def unhex(v):
-            return None if v is None else bytes.fromhex(v)
-
-        shard_digests = [unhex(v) for v in raw["shard_digests"]]
-        values = [unhex(v) for v in raw["values"]]
-        ed = None
-        if raw["epoch_data"] is not None:
-            ed = EpochData(
-                [unhex(v) for v in raw["epoch_data"]["parameters"]],
-                {(s, sh): n_ for s, sh, n_ in raw["epoch_data"]["list_l"]},
-            )
-        blk = SyncBlock(unhex(raw["prev"]), raw["epoch"], raw["slot"], shard_digests, ed)
+        try:
+            blk, digest, stated, values, cert, out_digest = _parse_block(raw, chain_id)
+        except _MALFORMED as exc:
+            raise VerifyFailure(idx, _malformed("block", exc)) from None
+        if last is not None:
+            if last.epoch_data is not None and blk.epoch != last.epoch + 1:
+                raise VerifyFailure(idx - 1, "epoch data present but the epoch did not advance")
+            if last.epoch_data is None and blk.epoch != last.epoch:
+                raise VerifyFailure(idx - 1, "epoch advanced without epoch data")
+        ed, shard_digests = blk.epoch_data, blk.shard_digests
         if blk.prev != prev:
             raise VerifyFailure(idx, "hash link broken: prev pointer mismatch")
-        if blk.digest() != unhex(raw["digest"]):
+        if digest != stated:
             raise VerifyFailure(idx, "stated digest does not match block contents")
         if values[-len(shard_digests):] != shard_digests:
             raise VerifyFailure(idx, "shard digests do not match certified values")
         if ed is not None and values[: len(ed.parameters)] != ed.parameters:
             raise VerifyFailure(idx, "epoch parameters do not match certified values")
-        cert = raw["certificate"]
-        bits = tuple(cert["bits"])
+        bits = cert.bits
         if len(bits) != len(values):
             raise VerifyFailure(idx, "certificate bit vector length mismatch")
         for j, v in enumerate(values):
             if (v is None) != (bits[j] == 1):
                 raise VerifyFailure(idx, f"component {j}: blank/bit mismatch")
-        purpose = "epoch_reconfig" if ed is not None else "slot_timing"
-        inst = engine.CobInstanceId(chain_id, raw["epoch"], raw["slot"], purpose)
-        theta_digest = unhex(cert["theta_digest"])
-        if engine.output_digest(inst.digest(), bits, values) != theta_digest:
+        if out_digest != cert.theta_digest:
             raise VerifyFailure(idx, "certified output digest mismatch")
-        supporters = [
-            engine.FinalVote(s["node"], bytes.fromhex(s["vrf"]), bytes.fromhex(s["sig"]))
-            for s in cert["supporters"]
-        ]
         reasons: list[str] = []
         ok = engine.verify_certificate(
-            engine.Certificate(inst, bits, theta_digest, supporters),
-            registry, registry.num_nodes, registry.num_nodes, prev, reasons,
+            cert, registry, registry.num_nodes, registry.num_nodes, prev, reasons,
         )
         if not ok:
             raise VerifyFailure(idx, f"certificate invalid: {reasons[0] if reasons else '?'}")
-        nxt = blocks[idx + 1] if idx + 1 < len(blocks) else None
-        if nxt is not None:
-            if ed is not None and nxt["epoch"] != raw["epoch"] + 1:
-                raise VerifyFailure(idx, "epoch data present but the epoch did not advance")
-            if ed is None and nxt["epoch"] != raw["epoch"]:
-                raise VerifyFailure(idx, "epoch advanced without epoch data")
-        prev = blk.digest()
-        count += 1
-    return count
+        prev, last = digest, blk
+    return len(blocks)
 
 
 def run_chain(

@@ -24,19 +24,6 @@ EXIT_CONFIG = 2
 EXIT_LIVENESS = 3
 
 
-def _load_config(path, overrides=None) -> scenario.ScenarioConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise scenario.ConfigError("<file>", f"not valid JSON: line {exc.lineno} col {exc.colno}")
-    if not isinstance(data, dict):
-        raise scenario.ConfigError("<file>", "top level must be an object")
-    if overrides:
-        data.update(overrides)
-    return scenario.ScenarioConfig.from_dict(data)
-
-
 def cmd_simulate(args) -> int:
     try:
         overrides = {}
@@ -44,7 +31,7 @@ def cmd_simulate(args) -> int:
             overrides["seed"] = args.seed
         if args.unsafe_byzantine:
             overrides["unsafe_byzantine"] = True
-        cfg = _load_config(args.config, overrides)
+        cfg = scenario.ScenarioConfig.load(args.config, **overrides)
         if cfg.mode != "simulate":
             raise scenario.ConfigError("mode", "simulate subcommand needs a simulate-mode config")
     except (scenario.ConfigError, OSError, TypeError) as exc:
@@ -81,7 +68,7 @@ def cmd_chain(args) -> int:
             overrides["seed"] = args.seed
         if args.unsafe_byzantine:
             overrides["unsafe_byzantine"] = True
-        cfg = _load_config(args.config, overrides)
+        cfg = scenario.ScenarioConfig.load(args.config, **overrides)
     except (scenario.ConfigError, OSError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -106,14 +93,7 @@ def cmd_chain(args) -> int:
 def load_registry(path) -> KeyRegistry:
     with open(path) as fh:
         data = json.load(fh)
-    reg = KeyRegistry.__new__(KeyRegistry)
-    master = bytes.fromhex(data["master"])
-    reg.num_nodes = data["n"]
-    reg._secrets = [
-        crypto.digest(master, b"node-secret", i.to_bytes(4, "big")) for i in range(data["n"])
-    ]
-    reg._publics = [crypto.digest(s, b"pub") for s in reg._secrets]
-    return reg
+    return KeyRegistry(data["n"], bytes.fromhex(data["master"]))
 
 
 def cmd_verify(args) -> int:
@@ -121,7 +101,7 @@ def cmd_verify(args) -> int:
         with open(args.chain) as fh:
             dump = json.load(fh)
         registry = load_registry(args.registry)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -157,8 +137,8 @@ def cmd_bench(args) -> int:
     rows = bench_mod.sweep(shard_range, model, alpha=args.alpha, beta=args.beta)
     if args.out:
         bench_mod.write_csv(rows, args.out)
-        if args.json_out:
-            bench_mod.write_json(rows, model, args.json_out, alpha=args.alpha, beta=args.beta)
+    if args.json_out:
+        bench_mod.write_json(rows, model, args.json_out, alpha=args.alpha, beta=args.beta)
     print(f"bench: {len(rows)} rows, crossover at m={bench_mod.crossover(model)}")
     return EXIT_OK
 

@@ -14,8 +14,6 @@ import hashlib
 DIGEST_SIZE = 32
 SIG_SIZE = 64
 
-_U64 = 0xFFFFFFFFFFFFFFFF
-
 
 def digest(*parts: bytes) -> bytes:
     """32-byte blake2b over the concatenation of ``parts``."""
@@ -41,18 +39,6 @@ def u64_from(data: bytes) -> int:
     return int.from_bytes(data[:8], "big")
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 step; the shared PRF for hop-delay sampling.
-
-    Must stay in lockstep with the compiled kernel's C implementation.
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _U64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
-
-
 class KeyRegistry:
     """Maps node ids to their (simulated) key material.
 
@@ -67,13 +53,9 @@ class KeyRegistry:
         self._secrets = [
             digest(master, b"node-secret", i.to_bytes(4, "big")) for i in range(num_nodes)
         ]
-        self._publics = [digest(s, b"pub") for s in self._secrets]
 
     def secret(self, node: int) -> bytes:
         return self._secrets[node]
-
-    def public(self, node: int) -> bytes:
-        return self._publics[node]
 
     def sign(self, node: int, payload: bytes) -> bytes:
         return sign(self._secrets[node], payload)

@@ -128,9 +128,6 @@ class Trace:
     def digest(self) -> str:
         return self._h.hexdigest()
 
-    def sends(self):
-        return [r for r in self.records if r[3] == "send"]
-
     def write_jsonl(self, path):
         keys = ("t_abs", "t_local", "node", "kind", "instance", "step", "size_bytes", "digest", "note")
         with open(path, "w") as fh:
@@ -278,8 +275,9 @@ _HONEST = Strategy()
 class Pool:
     """All wire variants of one (instance, step), with delivery rows."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, m: int):
         self.n = n
+        self.m = m  # components per payload row
         self.senders: list[int] = []
         self.payloads: list = []  # (m,) int32 rows, or (bits, digest, sig) for finals
         self.deliveries: list[np.ndarray] = []
@@ -330,7 +328,7 @@ class Pool:
             if not self.senders:
                 self._arrays = (
                     np.zeros(0, dtype=np.int32),
-                    np.zeros((0, 1), dtype=np.int32),
+                    np.zeros((0, self.m), dtype=np.int32),
                     np.zeros((0, self.n), dtype=np.float64),
                     np.zeros(0, dtype=np.uint64),
                 )
@@ -476,12 +474,6 @@ def _step_index(step_key) -> int:
     raise ValueError(step_key)
 
 
-def _key_for_index(idx: int) -> tuple:
-    if idx < MBBA_BASE_INDEX:
-        return ("mgc", idx)
-    return ("mbba", (idx - MBBA_BASE_INDEX) // 3, (idx - MBBA_BASE_INDEX) % 3)
-
-
 def _step_label(step_key) -> str:
     if step_key[0] == "mgc":
         return f"mgc-{step_key[1]}"
@@ -523,7 +515,7 @@ class InstanceRunner:
     def pool(self, step_key) -> Pool:
         p = self.pools.get(step_key)
         if p is None:
-            p = Pool(self.net.n)
+            p = Pool(self.net.n, self.params.m)
             self.pools[step_key] = p
         return p
 

@@ -119,7 +119,8 @@ class ScenarioConfig:
         return cfg.validate()
 
     @classmethod
-    def load(cls, path) -> "ScenarioConfig":
+    def load(cls, path, **overrides) -> "ScenarioConfig":
+        """A config file, with ``overrides`` replacing its fields before validation."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -127,7 +128,7 @@ class ScenarioConfig:
             raise ConfigError("<file>", f"not valid JSON: line {exc.lineno} col {exc.colno}")
         if not isinstance(data, dict):
             raise ConfigError("<file>", "top level must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **overrides})
 
 
 def _substream(seed: int, label: bytes) -> np.random.Generator:

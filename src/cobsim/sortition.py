@@ -52,9 +52,6 @@ class SortitionProof:
         return self.node_id.to_bytes(4, "big") + self.pseudo_vrf_output + self.signature
 
 
-PROOF_BYTES = 4 + 32 + crypto.SIG_SIZE
-
-
 def _check_params(expected_committee: float, population: int):
     if population <= 0:
         raise ValueError("population must be positive")

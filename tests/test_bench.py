@@ -117,3 +117,15 @@ def test_csv_and_json_outputs(tmp_path):
     data = json.loads(json_path.read_text())
     assert len(data["rows"]) == 6
     assert "breakdown" in data["rows"][0]
+
+
+def test_json_breakdown_sums_to_cost(tmp_path):
+    model = CostModel()
+    json_path = tmp_path / "out.json"
+    bench.write_json(bench.sweep([1, 7], model), model, json_path)
+    import json
+
+    for row in json.loads(json_path.read_text())["rows"]:
+        m = row["components"]
+        assert row["breakdown"] == bench.cob_breakdown(m, model)
+        assert sum(row["breakdown"].values()) == bench.cob_cost(m, model)

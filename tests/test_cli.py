@@ -123,3 +123,45 @@ def test_seed_override_changes_runs(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--seed", "100", "--out", a]) == cli.EXIT_OK
     assert cli.main(["simulate", "--config", cfg, "--seed", "101", "--out", b]) == cli.EXIT_OK
     assert (tmp_path / "sa.jsonl").read_bytes() != (tmp_path / "sb.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def chain_dump(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("verify")
+    cfg = write_config(tmp, "chain.json", {**CHAIN, "epochs": 1, "num_slots": 2})
+    dump, reg = tmp / "dump.json", tmp / "reg.json"
+    assert cli.main(["chain", "--config", cfg, "--out", str(dump),
+                     "--registry-out", str(reg)]) == cli.EXIT_OK
+    return json.loads(dump.read_text()), json.loads(reg.read_text())
+
+
+def verify(tmp_path, dump, registry):
+    dump_path, reg_path = tmp_path / "dump.json", tmp_path / "reg.json"
+    dump_path.write_text(json.dumps(dump))
+    reg_path.write_text(json.dumps(registry))
+    return cli.main(["verify", "--chain", str(dump_path), "--registry", str(reg_path)])
+
+
+def test_verify_non_hex_master_is_unreadable_input(tmp_path, chain_dump, capsys):
+    dump, registry = chain_dump
+    assert verify(tmp_path, dump, {**registry, "master": "not hex"}) == cli.EXIT_CONFIG
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing values", "bad hex"])
+def test_verify_malformed_block_names_reason(tmp_path, chain_dump, capsys, damage):
+    dump, registry = chain_dump
+    assert verify(tmp_path, dump, registry) == cli.EXIT_OK
+    bad = json.loads(json.dumps(dump))
+    if damage == "missing values":
+        del bad["blocks"][1]["values"]
+    else:
+        bad["blocks"][1]["certificate"]["theta_digest"] = "zz"
+    assert verify(tmp_path, bad, registry) == cli.EXIT_VERIFY
+    assert "verification failed at block 1: malformed block" in capsys.readouterr().err
+
+
+def test_bench_json_out_without_csv(tmp_path):
+    jout = tmp_path / "costs.json"
+    assert cli.main(["bench", "--shards", "1:3", "--json-out", str(jout)]) == cli.EXIT_OK
+    assert len(json.loads(jout.read_text())["rows"]) == 6

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cobsim import crypto, netsim, scenario
 
@@ -161,3 +162,18 @@ def test_trace_jsonl_roundtrip(tmp_path):
 
     rec = json.loads(path.read_text().splitlines()[0])
     assert rec["size_bytes"] == 77 and rec["kind"] == "send"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 27, 33])
+def test_empty_step_committee_certifies(seed):
+    # With 2 expected seats among 7 nodes some steps draw nobody; the empty
+    # pool must still tally m components, not one.
+    cfg = scenario.ScenarioConfig.from_dict({
+        "mode": "simulate", "n": 7, "committee": 2, "m": 3, "adversary": "honest",
+        "topology": "complete", "seed": seed,
+    })
+    result = scenario.run_simulate(cfg)
+    assert result.ok
+    res = result.results[0]
+    assert res.bits == (1, 1, 1)
+    assert len({out.encode_identity() for out in res.outputs.values()}) == 1
