@@ -401,13 +401,7 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, tally: NodeTally) -> 
         return _mbba_send(state)
 
     if step_key[0] == "mbba":
-        coin = None
-        if state.phase == mbba.PHASE_COIN:
-            if tally.coin_min_vrf is None:
-                # Liveness fault: no coin material this phase; keep bits.
-                coin = 0
-            else:
-                coin = int(tally.coin_min_vrf & 1)
+        coin = mbba.coin_bit(tally.coin_min_vrf) if state.phase == mbba.PHASE_COIN else None
         bits, decided, newly = mbba.phase_transition(
             state.bits,
             state.decided,

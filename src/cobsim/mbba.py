@@ -104,12 +104,13 @@ def phase_transition(
     return bits, decided, newly
 
 
-def common_coin(vrf_outputs_u64) -> int:
-    """Shared coin: LSB of the minimum sortition output among coin-phase votes."""
-    arr = np.asarray(vrf_outputs_u64, dtype=np.uint64)
-    if arr.size == 0:
-        raise LivenessError("coin phase received no messages")
-    return int(arr.min() & np.uint64(1))
+def coin_bit(min_vrf: int | None) -> int:
+    """Shared coin: LSB of the minimum sortition output among coin-phase votes.
+
+    A phase that received no votes is a liveness fault with no coin
+    material; the coin is then 0, which keeps every open bit.
+    """
+    return 0 if min_vrf is None else min_vrf & 1
 
 
 def halt_check(decided: np.ndarray, bits: np.ndarray):

@@ -8,6 +8,12 @@ pure function of (scenario, seed), and the delivery times of a message do
 not depend on unrelated traffic, which the component-independence
 properties rely on.
 
+Hop counts for every (origin, destination) pair come from one BFS over all
+origins at once, level by level: a sparse frontier expands by gathering
+neighbours from CSR arrays, and a frontier whose gather would touch more
+than n * n entries by one matrix product with the adjacency matrix.
+Byzantine nodes send their own messages but relay nothing.
+
 Byzantine senders escape the envelope: a strategy may retime, withhold,
 mask destinations or fork the content of its own messages.  Honest-origin
 gossip is untouchable.
@@ -17,6 +23,14 @@ by (time, node, step).  Tallies for all nodes of a step are evaluated in
 one batched kernel call when the first deadline of that step fires; the
 pool is complete by then because sends happen one full step earlier and
 steps outlast the clock skew.
+
+The final-vote pool keeps a census as votes arrive: per content (bits,
+theta digest), the first final of each sender and its arrival times,
+appended to one growing matrix.  A straggler's catch-up check and the
+closing certificate assembly read one column of it; every final row
+carries one prebuilt ``FinalVote``, so a certificate only collects
+references, and a node that already adopted an output builds no second
+certificate when the instance closes.
 """
 
 from __future__ import annotations
@@ -74,24 +88,73 @@ def build_topology(n: int, byz: set[int], family: str, params: dict, seed: int):
 
 
 def hop_matrix(adj: list[list[int]], byz: set[int]) -> np.ndarray:
-    """BFS hop counts with only honest nodes relaying; -1 where unreachable."""
-    from collections import deque
+    """BFS hop counts with only honest nodes relaying; -1 where unreachable.
 
+    One level-synchronous BFS runs from every origin at once.  The frontier
+    holds the (origin, node) pairs first reached at the previous level, as
+    flat indices origin * n + node.  Level 1 expands every origin, so a
+    byzantine node still sends its own messages; later levels drop
+    byzantine nodes from the frontier, so they do not relay.  A level
+    expands by gathering neighbours from CSR arrays unless that gather
+    would touch more than n * n entries; then one matrix product over the
+    dense frontier is cheaper (Beamer et al., "Direction-Optimizing
+    Breadth-First Search", SC 2012).
+    """
     n = len(adj)
-    hops = np.full((n, n), -1, dtype=np.int32)
-    for origin in range(n):
-        dist = hops[origin]
-        dist[origin] = 0
-        q = deque([origin])
-        while q:
-            u = q.popleft()
-            if u != origin and u in byz:
-                continue  # malicious nodes do not relay
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-    return hops
+    degree = np.fromiter((len(a) for a in adj), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=int(indptr[-1]))
+    relays = np.array([v not in byz for v in range(n)], dtype=bool)
+    hops = np.full(n * n, -1, dtype=np.int32)
+    seen = np.zeros(n * n, dtype=bool)
+    slot = np.empty(n * n, dtype=np.int64)  # dedup scratch, written only where reached
+    frontier = np.arange(n, dtype=np.int64) * (n + 1)  # every origin, level 0
+    hops[frontier] = 0
+    seen[frontier] = True
+    dense_adj = None
+    level, unseen = 0, n * n - n
+    while frontier.size and unseen:
+        level += 1
+        nodes = frontier % n
+        if level > 1:
+            keep = relays[nodes]
+            frontier, nodes = frontier[keep], nodes[keep]
+        if int(degree[nodes].sum()) > n * n:
+            if dense_adj is None:
+                dense_adj = np.zeros((n, n), dtype=np.float32)
+                dense_adj[np.repeat(np.arange(n), degree), indices] = 1.0
+            reached = _expand_dense(frontier, dense_adj)
+        else:
+            reached = _expand_sparse(frontier, nodes, degree, indptr, indices)
+        reached = reached[~seen[reached]]
+        # A pair reached through several frontier nodes is kept once: of
+        # all positions writing the same slot, exactly one reads itself back.
+        order = np.arange(reached.size)
+        slot[reached] = order
+        frontier = reached[slot[reached] == order]
+        hops[frontier] = level
+        seen[frontier] = True
+        unseen -= frontier.size
+    return hops.reshape(n, n)
+
+
+def _expand_sparse(frontier, nodes, degree, indptr, indices) -> np.ndarray:
+    """Flat (origin, neighbour) pairs one hop past the frontier, gathered;
+    a pair appears once per frontier node it neighbours."""
+    counts = degree[nodes]
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    pos = np.arange(total, dtype=np.int64) + np.repeat(indptr[nodes] - (ends - counts), counts)
+    return np.repeat(frontier - nodes, counts) + indices[pos]
+
+
+def _expand_dense(frontier, dense_adj) -> np.ndarray:
+    """Flat (origin, neighbour) pairs one hop past the frontier, by matrix product."""
+    n = len(dense_adj)
+    rows = np.zeros(n * n, dtype=np.float32)
+    rows[frontier] = 1.0
+    return np.flatnonzero(rows.reshape(n, n) @ dense_adj > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,55 +335,89 @@ _HONEST = Strategy()
 # Message pools
 
 
-class Pool:
-    """All wire variants of one (instance, step), with delivery rows."""
+class _Census:
+    """One content's finals, first per sender, arrivals appended in place."""
 
-    def __init__(self, n: int, m: int):
+    def __init__(self, n: int):
+        self.rows: list[int] = []
+        self.senders: set[int] = set()
+        self._arrivals = np.empty((8, n), dtype=np.float64)
+
+    def add(self, row: int, sender: int, delivery_row: np.ndarray) -> bool:
+        if sender in self.senders:
+            return False
+        k = len(self.rows)
+        if k == len(self._arrivals):
+            grown = np.empty((2 * k, self._arrivals.shape[1]), dtype=np.float64)
+            grown[:k] = self._arrivals
+            self._arrivals = grown
+        self._arrivals[k] = delivery_row
+        self.rows.append(row)
+        self.senders.add(sender)
+        return True
+
+    def view(self):
+        return tuple(self.rows), self._arrivals[: len(self.rows)]
+
+
+class Pool:
+    """All wire variants of one (instance, step), with delivery rows.
+
+    The final pool also keeps its census up to date as votes arrive: per
+    content, the rows of each sender's first matching final and their
+    stacked arrival times.
+    """
+
+    def __init__(self, n: int, m: int, final: bool = False):
         self.n = n
         self.m = m  # components per payload row
         self.senders: list[int] = []
         self.payloads: list = []  # (m,) int32 rows, or (bits, digest, sig) for finals
         self.deliveries: list[np.ndarray] = []
         self.vrf64: list[int] = []
-        self.vrf_bytes: list[bytes] = []
         self.sizes: list[int] = []
         self.digests: set[bytes] = set()
+        self.votes: list[engine.FinalVote] | None = [] if final else None
+        self._census: dict[tuple, _Census] = {}
         self._arrays = None
         self._tallies: dict = {}
         self._groups = None
 
     def add(self, sender, payload_row, delivery_row, vrf_u64, size, digest,
             vrf_out: bytes = b"") -> bool:
+        """Pool one wire variant unless its digest is already here.
+
+        In the final pool the row also becomes a ``FinalVote`` (sender,
+        sortition output ``vrf_out``, signature) and joins the census.
+        """
         if digest in self.digests:
             return False  # gossip duplicate suppression
         self.digests.add(digest)
+        if self.votes is not None:
+            self.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
+            key = (payload_row[0], payload_row[1])
+            group = self._census.get(key)
+            if group is None:
+                group = self._census[key] = _Census(self.n)
+            if group.add(len(self.senders), sender, delivery_row):
+                self._groups = None
         self.senders.append(sender)
         self.payloads.append(payload_row)
         self.deliveries.append(delivery_row)
         self.vrf64.append(vrf_u64)
-        self.vrf_bytes.append(vrf_out)
         self.sizes.append(size)
         self._arrays = None
         self._tallies.clear()
-        self._groups = None
         return True
 
     def final_groups(self):
         """Finals grouped by content: {(bits, digest): (row idxs, arrivals)}.
 
-        Rows are deduplicated per sender (first emitted wins) and the
-        arrival matrix is stacked once per pool version.
+        Rows are deduplicated per sender (first emitted wins); arrivals[j]
+        is the delivery row of row idxs[j].
         """
         if self._groups is None:
-            by_content: dict[tuple, list[int]] = {}
-            for i, payload in enumerate(self.payloads):
-                by_content.setdefault((payload[0], payload[1]), []).append(i)
-            self._groups = {
-                key: (rows, np.stack([self.deliveries[i] for i in rows]))
-                for key, rows in (
-                    (k, _dedup_rows(v, self.senders)) for k, v in by_content.items()
-                )
-            }
+            self._groups = {key: group.view() for key, group in self._census.items()}
         return self._groups
 
     def arrays(self):
@@ -515,7 +612,7 @@ class InstanceRunner:
     def pool(self, step_key) -> Pool:
         p = self.pools.get(step_key)
         if p is None:
-            p = Pool(self.net.n, self.params.m)
+            p = Pool(self.net.n, self.params.m, final=step_key == engine.FINAL_STEP)
             self.pools[step_key] = p
         return p
 
@@ -600,19 +697,15 @@ class InstanceRunner:
         state = self.states[node]
         if pool is None or len(pool.senders) < self.params.t_adopt:
             return None
-        groups = pool.final_groups()
-        census = sorted(
-            (
-                (int(np.count_nonzero(arrivals[:, node] <= t_abs)), key, rows, arrivals)
-                for key, (rows, arrivals) in groups.items()
-            ),
-            key=lambda g: (-g[0], g[1]),
-        )
-        for count, (bits_bytes, theta_digest), rows, arrivals in census:
+        census = []
+        for key, (rows, arrivals) in pool.final_groups().items():
+            held = arrivals[:, node] <= t_abs
+            census.append((int(np.count_nonzero(held)), key, rows, held))
+        census.sort(key=lambda g: (-g[0], g[1]))
+        for count, (bits_bytes, theta_digest), rows, held in census:
             if count >= self.params.t_cert:
                 bits = tuple(bits_bytes)
-                held = [i for i in rows if pool.deliveries[i][node] <= t_abs]
-                cert = self._certificate(bits, theta_digest, held)
+                cert = self._certificate(bits, theta_digest, rows, held)
                 if engine.adopt_certificate(state, bits, theta_digest, cert):
                     plans = []
                     if state.final_payload is None and state.bits is not None:
@@ -627,13 +720,13 @@ class InstanceRunner:
                     return ("halted", engine.adopt_decided_bits(state, bits_bytes))
         return None
 
-    def _certificate(self, bits, theta_digest, rows) -> engine.Certificate:
-        pool = self.pools[engine.FINAL_STEP]
-        votes = [
-            engine.FinalVote(pool.senders[i], pool.vrf_bytes[i], pool.payloads[i][2])
-            for i in rows
-        ]
-        return engine.Certificate(self.params.instance, tuple(bits), theta_digest, votes)
+    def _certificate(self, bits, theta_digest, rows, held=None) -> engine.Certificate:
+        """Certificate over the final rows ``rows``, or those selected by ``held``."""
+        votes = self.pools[engine.FINAL_STEP].votes
+        picked = rows if held is None else [rows[j] for j in np.flatnonzero(held)]
+        return engine.Certificate(
+            self.params.instance, tuple(bits), theta_digest, [votes[i] for i in picked]
+        )
 
     # -- event loop -------------------------------------------------------------
     def run(self, horizon: float = np.inf) -> InstanceResult:
@@ -730,9 +823,11 @@ class InstanceRunner:
                 net.trace.add(0.0, 0.0, v, "no-certificate", self.label, "final", 0, "")
                 continue
             state = self.states[v]
-            held = [i for i in rows if pool.deliveries[i][v] <= t_v]
-            cert = self._certificate(bits, theta_digest, held)
-            if engine.adopt_certificate(state, bits, theta_digest, cert):
+            # A node that adopted from the final pool already holds its output.
+            if state.output is not None or engine.adopt_certificate(
+                state, bits, theta_digest,
+                self._certificate(bits, theta_digest, rows, arrivals[:, v] <= t_v),
+            ):
                 outputs[v] = state.output
                 net.trace.add(t_v, net.local(v, t_v), v, "output", self.label,
                               "final", 0, theta_digest[:8].hex())
@@ -743,15 +838,6 @@ class InstanceRunner:
             params, self.states, outputs, assembly, liveness, True, bits, theta_digest,
             canonical,
         )
-
-
-def _dedup_rows(rows: list[int], senders: list[int]) -> list[int]:
-    seen, out = set(), []
-    for i in rows:
-        if senders[i] not in seen:
-            seen.add(senders[i])
-            out.append(i)
-    return out
 
 
 def synchronize(net: Network, chain_id: bytes, entropy: bytes, committee: float,

@@ -19,9 +19,15 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_digests.json"
 CONFIGS = HERE.parent / "configs"
 
+SCALE_N100 = {
+    "mode": "simulate", "n": 100, "committee": 100, "m": 4, "observation_plan": "mixed",
+    "adversary": "crash", "topology": "watts_strogatz", "byzantine_fraction": 0.3, "seed": 0,
+}
+
 
 def corpus() -> dict[str, scenario.ScenarioConfig]:
-    """Every adversary x topology at n=25, every shipped config, two instances."""
+    """Every adversary x topology at n=25, every shipped config, two instances,
+    and two larger runs that stress the final-vote census and the hop BFS."""
     cases = {}
     for adversary in scenario.ADVERSARIES:
         for topology in scenario.TOPOLOGIES:
@@ -36,6 +42,14 @@ def corpus() -> dict[str, scenario.ScenarioConfig]:
         "mode": "simulate", "n": 25, "committee": 25, "m": 4, "observation_plan": "mixed",
         "adversary": "mixed", "byzantine_fraction": 0.2, "instances": 2, "seed": 9,
     })
+    # Full committee with 30% crashed: 70 honest finals against a quorum of
+    # 67, so stragglers catch up from the final pool (both adoption branches).
+    cases["scale/n100-crash-watts_strogatz"] = scenario.ScenarioConfig.from_dict(SCALE_N100)
+    # A 60-node ring: about 30 BFS levels, paths routed around byzantine nodes.
+    cases["scale/ring-n60"] = scenario.ScenarioConfig.from_dict({
+        "mode": "simulate", "n": 60, "committee": 30, "m": 4, "observation_plan": "mixed",
+        "adversary": "mixed", "topology": "ring", "byzantine_fraction": 0.2, "seed": 3,
+    })
     return cases
 
 
@@ -48,8 +62,19 @@ def compute() -> dict[str, str]:
     return {name: digest(cfg) for name, cfg in corpus().items()}
 
 
+def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """One line per case whose digest differs, is missing or is new."""
+    lines = []
+    for name in sorted(expected.keys() | actual.keys()):
+        want, got = expected.get(name), actual.get(name)
+        if want != got:
+            lines.append(f"{name}: expected {want}, got {got}")
+    return lines
+
+
 def test_golden_digests():
-    assert compute() == json.loads(GOLDEN.read_text())
+    lines = moved(json.loads(GOLDEN.read_text()), compute())
+    assert not lines, "golden digests moved:\n" + "\n".join(lines)
 
 
 if __name__ == "__main__":

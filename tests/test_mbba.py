@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cobsim import mbba
+from cobsim import mbba, netsim
 
 
 def oracle_transition(bit, decided, phase, z, o, fz, fo, t_high, coin):
@@ -109,25 +109,30 @@ def test_transition_matches_oracle_exhaustively():
 
 
 def test_common_coin_from_minimum_output():
-    assert mbba.common_coin([0b10110]) == 0
-    assert mbba.common_coin([0b10111]) == 1
-    vals = [7, 12, 3, 98]
-    assert mbba.common_coin(vals) == mbba.common_coin(list(reversed(vals))) == 1
+    assert mbba.coin_bit(0b10110) == 0
+    assert mbba.coin_bit(0b10111) == 1
+    # the minimum is taken per node over the coin-phase votes it holds
+    pool = netsim.Pool(n=2, m=1)
+    for k, vrf in enumerate([7, 12, 3, 98]):
+        arrivals = np.array([1.0, 5.0 if vrf in (3, 7) else 1.0])
+        pool.add(k, np.zeros(1, dtype=np.int32), arrivals, vrf, 10, bytes([k]))
+    mins, present = pool.min_vrf(np.array([2.0, 2.0]))
+    assert present.all()
+    assert mins.tolist() == [3, 12]
+    assert [mbba.coin_bit(int(v)) for v in mins] == [1, 0]
 
 
 def test_common_coin_empty_is_liveness_fault():
-    with pytest.raises(mbba.LivenessError):
-        mbba.common_coin([])
+    # no coin material: the coin keeps every open bit
+    assert mbba.coin_bit(None) == 0
 
 
 def test_coin_distribution_balanced():
-    import numpy as np
-
     rng = np.random.default_rng(5)
     bits = []
     for _ in range(1000):
         outs = rng.integers(0, 2**62, size=rng.integers(1, 30))
-        bits.append(mbba.common_coin(outs))
+        bits.append(mbba.coin_bit(int(outs.min())))
     freq = sum(bits) / len(bits)
     assert 0.45 <= freq <= 0.55
 

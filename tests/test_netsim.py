@@ -1,9 +1,12 @@
+from collections import Counter, deque
+
 import numpy as np
 import pytest
 
-from cobsim import crypto, netsim, scenario
+from cobsim import crypto, engine, netsim, scenario
 
 from conftest import make_network
+from test_golden import SCALE_N100
 
 
 def test_topology_families_connected():
@@ -43,6 +46,80 @@ def test_hop_matrix_byzantine_do_not_relay():
     assert hops[0, 2] == -1
     hops2 = netsim.hop_matrix(adj, set())
     assert hops2[0, 2] == 2
+
+
+def reference_hops(adj, byz):
+    """Per-origin deque BFS, the oracle for the all-origins ``hop_matrix``."""
+    n = len(adj)
+    hops = np.full((n, n), -1, dtype=np.int32)
+    for origin in range(n):
+        dist = hops[origin]
+        dist[origin] = 0
+        q = deque([origin])
+        while q:
+            u = q.popleft()
+            if u != origin and u in byz:
+                continue  # malicious nodes do not relay
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+    return hops
+
+
+def _byzantine_sets(rng, n):
+    """Empty, random, and all nodes but one."""
+    return [
+        set(),
+        set(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()),
+        set(range(n)) - {int(rng.integers(0, n))},
+    ]
+
+
+def _hop_cases():
+    rng = np.random.default_rng(21)
+    for trial in range(48):
+        family = scenario.TOPOLOGIES[trial % 4]
+        n = int(rng.integers(3 if family == "watts_strogatz" else 2, 81))
+        params = {}
+        if trial % 8 >= 4 and family in ("watts_strogatz", "geometric"):
+            # dense enough that the second level expands by matrix product
+            params = {"k": max(2, n // 2)} if family == "watts_strogatz" else {"radius": 0.6}
+        for byz in _byzantine_sets(rng, n):
+            yield f"{family}/n{n}", netsim.build_topology(n, byz, family, params, trial), byz
+    for trial in range(12):
+        # arbitrary directed adjacency lists, often disconnected: unreachable pairs
+        n = int(rng.integers(2, 60))
+        p = float(rng.choice([0.02, 0.05, 0.3]))
+        adj = [sorted(np.flatnonzero(rng.random(n) < p).tolist()) for _ in range(n)]
+        for byz in _byzantine_sets(rng, n):
+            yield f"random/n{n}/p{p}", adj, byz
+    for n in (150, 301):
+        # deep rings: up to 150 levels, every one expanded by gathering
+        for byz in _byzantine_sets(rng, n)[:2]:
+            yield f"ring/n{n}", netsim.build_topology(n, byz, "ring", {}, n), byz
+
+
+def test_hop_matrix_matches_per_origin_bfs(monkeypatch):
+    branches = Counter()
+    for name in ("_expand_sparse", "_expand_dense"):
+        original = getattr(netsim, name)
+
+        def spy(*args, _name=name, _original=original):
+            branches[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(netsim, name, spy)
+    unreachable = byzantine_origins = 0
+    for label, adj, byz in _hop_cases():
+        want = reference_hops(adj, byz)
+        got = netsim.hop_matrix(adj, byz)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want), (label, sorted(byz))
+        unreachable += int((want < 0).any())
+        byzantine_origins += int(any((want[b] > 1).any() for b in byz))
+    assert unreachable > 10 and byzantine_origins > 10
+    assert branches["_expand_sparse"] > 1000 and branches["_expand_dense"] > 10
 
 
 def test_gossip_complete_graph_delivers_once():
@@ -177,3 +254,81 @@ def test_empty_step_committee_certifies(seed):
     res = result.results[0]
     assert res.bits == (1, 1, 1)
     assert len({out.encode_identity() for out in res.outputs.values()}) == 1
+
+
+def test_adoption_from_finals_takes_both_branches(monkeypatch):
+    # 70 honest finals against a quorum of 67: nodes catch up from the final
+    # pool with a full certificate ("output") or with decided bits only
+    # ("halted").
+    kinds = Counter()
+    original = netsim.InstanceRunner._maybe_adopt_from_finals
+
+    def spy(self, node, t_abs):
+        action = original(self, node, t_abs)
+        if action is not None:
+            kinds[action[0]] += 1
+        return action
+
+    monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy)
+    assert scenario.run_simulate(scenario.ScenarioConfig.from_dict(SCALE_N100)).ok
+    assert kinds["output"] > 0 and kinds["halted"] > 0
+
+
+def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
+    # The horizon cuts the instance while some nodes are still waiting for
+    # their next deadline: 41 nodes adopt from the final pool, 59 assemble
+    # their certificate when the run finishes.
+    cfg = scenario.ScenarioConfig.from_dict({**SCALE_N100, "horizon": 21.44})
+    runs, adopted_at, builds = [], {}, Counter()
+    run = netsim.InstanceRunner.run
+    adopt = netsim.InstanceRunner._maybe_adopt_from_finals
+    init = engine.Certificate.__init__
+
+    def spy_run(self, horizon=np.inf):
+        result = run(self, horizon)
+        runs.append((self, result))
+        return result
+
+    def spy_adopt(self, node, t_abs):
+        action = adopt(self, node, t_abs)
+        if action is not None and action[0] == "output":
+            adopted_at[id(self), node] = t_abs
+        return action
+
+    def spy_init(cert, *args, **kwargs):
+        builds["certificates"] += 1
+        init(cert, *args, **kwargs)
+
+    monkeypatch.setattr(netsim.InstanceRunner, "run", spy_run)
+    monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy_adopt)
+    monkeypatch.setattr(engine.Certificate, "__init__", spy_init)
+    result = scenario.run_simulate(cfg)
+    assert result.ok and len(runs) == 2  # bootstrap and the configured instance
+
+    late = 0
+    for runner, res in runs:
+        params, net = runner.params, runner.net
+        pool = runner.pools[engine.FINAL_STEP]
+        first = {}  # sender -> its first final row with the certified content
+        for i, (sender, payload) in enumerate(zip(pool.senders, pool.payloads)):
+            if (payload[0], payload[1]) == (bytes(res.bits), res.theta_digest):
+                first.setdefault(sender, i)
+        for v in map(int, np.flatnonzero(net.honest_mask)):
+            t = adopted_at.get((id(runner), v))
+            if t is None:
+                late += 1
+                t = res.assembly_times[v]
+            want = [
+                engine.FinalVote(sender, params.draw(engine.FINAL_STEP, sender).pseudo_vrf_output,
+                                 pool.payloads[i][2])
+                for sender, i in first.items() if pool.deliveries[i][v] <= t
+            ]
+            cert = res.outputs[v].certificate
+            assert cert.supporters == want, v
+            assert engine.verify_certificate(cert, net.registry, params.tau_final, net.n,
+                                             params.entropy)
+    assert 0 < late < 100
+    # one certificate per output, plus each instance's canonical one
+    outputs = [out.certificate for _, res in runs for out in res.outputs.values()]
+    assert len({id(c) for c in outputs}) == len(outputs)
+    assert builds["certificates"] == len(outputs) + len(runs)
