@@ -27,6 +27,24 @@ PURPOSES = ("slot_timing", "epoch_reconfig", "synchronization_setup")
 
 # Step keys: ("mgc", 1..3) | ("mbba", iteration, phase) | ("final",)
 FINAL_STEP = ("final",)
+MBBA_BASE_INDEX = 4  # deadline index of ("mbba", 0, 0)
+
+
+def step_index(step_key) -> int:
+    """Deadline index of a step: its deadline is start + index * step length."""
+    if step_key[0] == "mgc":
+        return step_key[1]
+    if step_key[0] == "mbba":
+        return MBBA_BASE_INDEX + step_key[1] * 3 + step_key[2]
+    raise ValueError(step_key)
+
+
+def step_label(step_key) -> str:
+    if step_key[0] == "mgc":
+        return f"mgc-{step_key[1]}"
+    if step_key[0] == "mbba":
+        return f"mbba-{step_key[1]}-{step_key[2]}"
+    return "final"
 
 
 @dataclass(frozen=True)
@@ -135,9 +153,9 @@ def encode_mbba_message(params, iteration, phase, sender, bits, flags, proof) ->
     )
 
 
-def encode_final_body(params, sender, bits, theta_digest, proof) -> bytes:
+def encode_final_body(instance_digest, sender, bits, theta_digest, proof) -> bytes:
     return (
-        params.digest
+        instance_digest
         + sender.to_bytes(4, "big")
         + bytes(int(b) for b in bits)
         + theta_digest
@@ -209,28 +227,19 @@ def verify_certificate(
     seen = set()
     inst_digest = cert.instance.digest()
     seed = sortition.SortitionSeed(0, 0, inst_digest, entropy)
-    bits_bytes = bytes(int(b) for b in cert.bits)
     valid = 0
     for vote in cert.supporters:
         if vote.node_id in seen:
             continue
         seen.add(vote.node_id)
-        out = crypto.keyed_digest(registry.secret(vote.node_id), b"sortition", seed.encode()) \
-            if 0 <= vote.node_id < registry.num_nodes else None
-        if out != vote.pseudo_vrf_output:
+        if not 0 <= vote.node_id < registry.num_nodes:
             return fail(f"supporter {vote.node_id}: sortition output mismatch")
-        if crypto.u64_from(out) >= sortition.selection_threshold(tau_final, population):
+        proof = sortition.draw(seed, vote.node_id, registry, tau_final, population)
+        if proof is None:
             return fail(f"supporter {vote.node_id}: not selected for the final step")
-        sort_sig = crypto.sign(
-            registry.secret(vote.node_id), b"sortition-proof" + seed.encode() + out
-        )
-        body = (
-            inst_digest
-            + vote.node_id.to_bytes(4, "big")
-            + bits_bytes
-            + cert.theta_digest
-            + sortition.SortitionProof(vote.node_id, out, sort_sig).encode()
-        )
+        if proof.pseudo_vrf_output != vote.pseudo_vrf_output:
+            return fail(f"supporter {vote.node_id}: sortition output mismatch")
+        body = encode_final_body(inst_digest, vote.node_id, cert.bits, cert.theta_digest, proof)
         if not registry.verify(vote.node_id, body, vote.signature):
             return fail(f"supporter {vote.node_id}: bad signature")
         valid += 1
@@ -420,36 +429,57 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, tally: NodeTally) -> 
             )
         if mbba.halt_check(decided, bits) is not None:
             return _halt_and_final(state)
-        # advance phase/iteration
-        if state.phase == mbba.PHASE_COIN:
-            state.iteration += 1
-            state.phase = 0
-            if state.iteration >= mbba.ITERATION_CAP:
-                state.liveness_failed = True
-                state.stage = DONE
-                raise mbba.LivenessError(
-                    f"node {state.node}: iteration cap {mbba.ITERATION_CAP} reached with "
-                    f"{int((~decided).sum())} undecided components"
-                )
-        else:
-            state.phase += 1
+        if not _advance(state):
+            state.liveness_failed = True
+            state.stage = DONE
+            raise mbba.LivenessError(
+                f"node {state.node}: iteration cap {mbba.ITERATION_CAP} reached with "
+                f"{int((~decided).sum())} undecided components"
+            )
         return _mbba_send(state)
 
     raise ValueError(f"unexpected step key {step_key}")
+
+
+def _advance(state: CobNodeState) -> bool:
+    """Move to the next agreement phase: the next phase, or phase 0 of the
+    next iteration after the coin phase.  False once the iteration cap is
+    reached."""
+    if state.phase == mbba.PHASE_COIN:
+        state.iteration += 1
+        state.phase = 0
+    else:
+        state.phase += 1
+    return not _capped(state)
+
+
+def _capped(state: CobNodeState) -> bool:
+    return state.iteration >= mbba.ITERATION_CAP
+
+
+def next_deadline(state: CobNodeState) -> tuple | None:
+    """Step key of the node's next deadline, or None once it has none: the
+    node is DONE, or it is halted and its echo budget is spent."""
+    if state.stage == DONE or (state.halted and _capped(state)):
+        return None
+    return state.current_step_key()
 
 
 def _halt_and_final(state: CobNodeState) -> list[SendPlan]:
     """Halt: sign the final vote, and keep the echo stream one phase ahead."""
     state.halted = True
     sends = _final_send(state)
-    if state.phase == mbba.PHASE_COIN:
-        state.iteration += 1
-        state.phase = 0
-    else:
-        state.phase += 1
-    if state.iteration < mbba.ITERATION_CAP:
+    if _advance(state):
         sends.extend(_mbba_send(state))
     return sends
+
+
+def _set_decided(state: CobNodeState, bits_bytes: bytes):
+    """Take every component as decided, with the bits of a final-vote quorum."""
+    if state.bits is None:
+        raise RuntimeError("cannot adopt decisions before the graded phase completed")
+    state.bits = np.array(list(bits_bytes), dtype=np.int8)
+    state.decided = np.ones(state.params.m, dtype=bool)
 
 
 def adopt_decided_bits(state: CobNodeState, bits_bytes: bytes) -> list[SendPlan]:
@@ -460,10 +490,7 @@ def adopt_decided_bits(state: CobNodeState, bits_bytes: bytes) -> list[SendPlan]
     the whole bit vector is then equivalent to a flag-quorum catch-up, but
     over the accumulating final pool instead of one phase's committee.
     """
-    if state.bits is None:
-        raise RuntimeError("cannot adopt decisions before the graded phase completed")
-    state.bits = np.array(list(bits_bytes), dtype=np.int8)
-    state.decided = np.ones(state.params.m, dtype=bool)
+    _set_decided(state, bits_bytes)
     return _halt_and_final(state)
 
 
@@ -476,37 +503,25 @@ def on_echo_deadline(state: CobNodeState) -> list[SendPlan] | None:
     """
     if not state.halted or state.stage == DONE:
         return None
-    if state.phase == mbba.PHASE_COIN:
-        state.iteration += 1
-        state.phase = 0
-        if state.iteration >= mbba.ITERATION_CAP:
-            return None
-    else:
-        state.phase += 1
-    return _mbba_send(state)
+    return _mbba_send(state) if _advance(state) else None
 
 
-def cob_on_event(state: CobNodeState, event: tuple):
-    """Single-node event surface: (state, outbound sends, output or None).
+def adopt_output(
+    state: CobNodeState, bits_bytes: bytes, theta_digest: bytes, cert: Certificate
+) -> list[SendPlan] | None:
+    """Catch up on a certified outcome from the final pool.
 
-    Events: ("timeout", step_key, NodeTally) advances one step deadline;
-    ("certificate", bits, theta_digest, Certificate) adopts a certified
-    outcome.  Events for other instances are the caller's concern; the
-    step-key check rejects out-of-order timeouts.
+    Returns None when the node's theta does not reproduce the certified
+    digest.  Otherwise the node holds its output, and a node that had not
+    cast its own final yet halts and backs the certificate with one.
     """
-    kind = event[0]
-    if kind == "timeout":
-        _, step_key, tally = event
-        if state.halted:
-            sends = on_echo_deadline(state)
-            return state, sends or [], state.output
-        sends = on_step_deadline(state, step_key, tally)
-        return state, sends, state.output
-    if kind == "certificate":
-        _, bits, theta_digest, cert = event
-        adopt_certificate(state, bits, theta_digest, cert)
-        return state, [], state.output
-    raise ValueError(f"unknown event kind {kind!r}")
+    if not adopt_certificate(state, tuple(bits_bytes), theta_digest, cert):
+        return None
+    if state.final_payload is not None:
+        return []
+    _set_decided(state, bits_bytes)
+    state.halted = True
+    return _final_send(state)
 
 
 def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Certificate) -> bool:

@@ -18,11 +18,15 @@ Byzantine senders escape the envelope: a strategy may retime, withhold,
 mask destinations or fork the content of its own messages.  Honest-origin
 gossip is untouchable.
 
-The event loop is a single heap of per-node step-deadline events ordered
-by (time, node, step).  Tallies for all nodes of a step are evaluated in
-one batched kernel call when the first deadline of that step fires; the
-pool is complete by then because sends happen one full step earlier and
-steps outlast the clock skew.
+The event loop is one heap of per-node deadline events ordered by (time,
+node, step).  The engine owns each node's lifecycle: at a deadline the
+runner hands the node its tally (or a catch-up from the final pool), and
+after every event it asks ``engine.next_deadline`` for the node's next
+step, which it schedules with one push, or none once the node is done or
+its echo budget is spent.  Tallies for all nodes of a step are evaluated
+in one batched kernel call when the first deadline of that step fires;
+the pool is complete by then because sends happen one full step earlier
+and steps outlast the clock skew.
 
 The final-vote pool keeps a census as votes arrive: per content (bits,
 theta digest), the first final of each sender and its arrival times,
@@ -375,7 +379,6 @@ class Pool:
         self.payloads: list = []  # (m,) int32 rows, or (bits, digest, sig) for finals
         self.deliveries: list[np.ndarray] = []
         self.vrf64: list[int] = []
-        self.sizes: list[int] = []
         self.digests: set[bytes] = set()
         self.votes: list[engine.FinalVote] | None = [] if final else None
         self._census: dict[tuple, _Census] = {}
@@ -383,12 +386,12 @@ class Pool:
         self._tallies: dict = {}
         self._groups = None
 
-    def add(self, sender, payload_row, delivery_row, vrf_u64, size, digest,
-            vrf_out: bytes = b"") -> bool:
+    def add(self, sender, payload_row, delivery_row, digest, vrf_out: bytes) -> bool:
         """Pool one wire variant unless its digest is already here.
 
-        In the final pool the row also becomes a ``FinalVote`` (sender,
-        sortition output ``vrf_out``, signature) and joins the census.
+        ``vrf_out`` is the sender's sortition output; its leading 64 bits
+        feed the coin.  In the final pool the row also becomes a
+        ``FinalVote`` (sender, ``vrf_out``, signature) and joins the census.
         """
         if digest in self.digests:
             return False  # gossip duplicate suppression
@@ -404,8 +407,7 @@ class Pool:
         self.senders.append(sender)
         self.payloads.append(payload_row)
         self.deliveries.append(delivery_row)
-        self.vrf64.append(vrf_u64)
-        self.sizes.append(size)
+        self.vrf64.append(crypto.u64_from(vrf_out))
         self._arrays = None
         self._tallies.clear()
         return True
@@ -560,25 +562,6 @@ class Network:
 # ---------------------------------------------------------------------------
 # Instance runner
 
-MBBA_BASE_INDEX = 4  # deadline index of ("mbba", 0, 0)
-
-
-def _step_index(step_key) -> int:
-    if step_key[0] == "mgc":
-        return step_key[1]
-    if step_key[0] == "mbba":
-        return MBBA_BASE_INDEX + step_key[1] * 3 + step_key[2]
-    raise ValueError(step_key)
-
-
-def _step_label(step_key) -> str:
-    if step_key[0] == "mgc":
-        return f"mgc-{step_key[1]}"
-    if step_key[0] == "mbba":
-        return f"mbba-{step_key[1]}-{step_key[2]}"
-    return "final"
-
-
 def mgc_message_size_bound(params: CobParams) -> int:
     # Worst case: every component carries a 64-byte value.
     return 32 + 4 + 1 + 2 + params.m * 66 + 100 + crypto.SIG_SIZE
@@ -617,7 +600,7 @@ class InstanceRunner:
         return p
 
     def deadlines_for(self, step_key) -> np.ndarray:
-        return self.start_abs + _step_index(step_key) * self.step_len
+        return self.start_abs + engine.step_index(step_key) * self.step_len
 
     # -- sends --------------------------------------------------------------
     def dispatch(self, node: int, t_abs: float, plans: list[SendPlan]):
@@ -641,7 +624,9 @@ class InstanceRunner:
                 np.asarray(tp.bits, dtype=np.int32) + 2 * np.asarray(tp.flags, dtype=np.int32)
             )
         else:
-            encoded = engine.encode_final_body(params, node, tp.bits, plan.theta_digest, plan.proof)
+            encoded = engine.encode_final_body(
+                params.digest, node, tp.bits, plan.theta_digest, plan.proof
+            )
             row = None
         sig = net.registry.sign(node, encoded)
         digest = crypto.digest(encoded, sig)
@@ -650,11 +635,11 @@ class InstanceRunner:
         if key[0] == "final":
             row = (bytes(int(b) for b in tp.bits), plan.theta_digest, sig)
         pool = self.pool(key)
-        if pool.add(node, row, delivery, crypto.u64_from(plan.proof.pseudo_vrf_output), size,
-                    digest, plan.proof.pseudo_vrf_output):
+        if pool.add(node, row, delivery, digest, plan.proof.pseudo_vrf_output):
+            label = engine.step_label(key)
             net.trace.add(
                 t_abs, net.local(node, t_abs), node, "send", self.label,
-                _step_label(key), size, digest[:8].hex(),
+                label, size, digest[:8].hex(),
             )
             if net.trace.record_receives:
                 for dest in range(net.n):
@@ -662,7 +647,7 @@ class InstanceRunner:
                     if dest != node and np.isfinite(t_d):
                         net.trace.add(
                             t_d, net.local(dest, t_d), dest, "recv", self.label,
-                            _step_label(key), size, digest[:8].hex(),
+                            label, size, digest[:8].hex(),
                         )
 
     # -- tallies --------------------------------------------------------------
@@ -704,20 +689,12 @@ class InstanceRunner:
         census.sort(key=lambda g: (-g[0], g[1]))
         for count, (bits_bytes, theta_digest), rows, held in census:
             if count >= self.params.t_cert:
-                bits = tuple(bits_bytes)
-                cert = self._certificate(bits, theta_digest, rows, held)
-                if engine.adopt_certificate(state, bits, theta_digest, cert):
-                    plans = []
-                    if state.final_payload is None and state.bits is not None:
-                        # back the certificate with this node's own final too
-                        state.bits = np.array(list(bits_bytes), dtype=np.int8)
-                        state.decided = np.ones(self.params.m, dtype=bool)
-                        state.halted = True
-                        plans = engine._final_send(state)
+                cert = self._certificate(bits_bytes, theta_digest, rows, held)
+                plans = engine.adopt_output(state, bits_bytes, theta_digest, cert)
+                if plans is not None:
                     return ("output", plans)
             elif not state.halted and count >= self.params.t_adopt:
-                if state.bits is not None:
-                    return ("halted", engine.adopt_decided_bits(state, bits_bytes))
+                return ("halted", engine.adopt_decided_bits(state, bits_bytes))
         return None
 
     def _certificate(self, bits, theta_digest, rows, held=None) -> engine.Certificate:
@@ -746,58 +723,42 @@ class InstanceRunner:
             if key == ("start",):
                 net.trace.add(t, net.local(v, t), v, "timeout", self.label, "start", 0, "")
                 self.dispatch(v, t, engine.initial_send(state))
-                heapq.heappush(heap, (float(self.start_abs[v] + self.step_len), v, ("mgc", 1)))
-                continue
-            if state.stage == engine.DONE:
-                continue
-            if key[0] == "mbba":
-                action = self._maybe_adopt_from_finals(v, t)
-                if action is not None:
-                    kind, plans = action
-                    self.dispatch(v, t, plans)
-                    if kind == "halted" and state.iteration < mbba.ITERATION_CAP:
-                        nxt = state.current_step_key()
-                        heapq.heappush(
-                            heap,
-                            (float(self.start_abs[v] + _step_index(nxt) * self.step_len), v, nxt),
-                        )
-                    continue
-            if state.halted:
-                # Decided bits keep being echoed with final flags until the
-                # node holds a certificate, so stragglers can catch up.
-                plans = engine.on_echo_deadline(state)
-                if plans is None:
-                    continue
-                self.dispatch(v, t, plans)
-                nxt = state.current_step_key()
-                heapq.heappush(
-                    heap, (float(self.start_abs[v] + _step_index(nxt) * self.step_len), v, nxt)
-                )
-                continue
-            tally = self.node_tally(key, v)
-            if key[0] == "mbba" and key[2] == mbba.PHASE_COIN and tally.coin_min_vrf is None:
-                net.trace.add(t, net.local(v, t), v, "note", self.label,
-                              _step_label(key), 0, "", "empty coin phase")
-            decisions_before = len(state.decision_log)
-            try:
-                plans = engine.on_step_deadline(state, key, tally)
-            except mbba.LivenessError as exc:
-                liveness.append(v)
-                net.trace.add(t, net.local(v, t), v, "liveness-failure", self.label,
-                              _step_label(key), 0, "", str(exc))
-                continue
-            for it, ph, comp, bit in state.decision_log[decisions_before:]:
-                net.trace.add(t, net.local(v, t), v, "decide", self.label,
-                              _step_label(key), 0, "", f"component {comp} -> {bit}")
-            self.dispatch(v, t, plans)
-            if state.stage != engine.DONE:
-                nxt = state.current_step_key()
-                if state.halted and state.iteration >= mbba.ITERATION_CAP:
-                    continue  # echo budget exhausted
-                heapq.heappush(
-                    heap, (float(self.start_abs[v] + _step_index(nxt) * self.step_len), v, nxt)
-                )
+            elif state.stage != engine.DONE:
+                self.dispatch(v, t, self._on_deadline(v, t, key, liveness))
+            nxt = engine.next_deadline(state)
+            if nxt is not None:
+                t_next = self.start_abs[v] + engine.step_index(nxt) * self.step_len
+                heapq.heappush(heap, (float(t_next), v, nxt))
         return self._finish(liveness)
+
+    def _on_deadline(self, v: int, t: float, key, liveness: list[int]) -> list[SendPlan]:
+        """Node ``v`` at its deadline ``key``: catch up from the final pool,
+        echo once halted, or pass the step.  Returns the node's sends."""
+        net, state = self.net, self.states[v]
+        if key[0] == "mbba":
+            action = self._maybe_adopt_from_finals(v, t)
+            if action is not None:
+                return action[1]
+        if state.halted:
+            # Decided bits keep being echoed with final flags until the
+            # node holds a certificate, so stragglers can catch up.
+            return engine.on_echo_deadline(state) or []
+        tally = self.node_tally(key, v)
+        if key[0] == "mbba" and key[2] == mbba.PHASE_COIN and tally.coin_min_vrf is None:
+            net.trace.add(t, net.local(v, t), v, "note", self.label,
+                          engine.step_label(key), 0, "", "empty coin phase")
+        decisions_before = len(state.decision_log)
+        try:
+            plans = engine.on_step_deadline(state, key, tally)
+        except mbba.LivenessError as exc:
+            liveness.append(v)
+            net.trace.add(t, net.local(v, t), v, "liveness-failure", self.label,
+                          engine.step_label(key), 0, "", str(exc))
+            return []
+        for it, ph, comp, bit in state.decision_log[decisions_before:]:
+            net.trace.add(t, net.local(v, t), v, "decide", self.label,
+                          engine.step_label(key), 0, "", f"component {comp} -> {bit}")
+        return plans
 
     # -- certificate assembly -----------------------------------------------------
     def _finish(self, liveness: list[int]) -> InstanceResult:

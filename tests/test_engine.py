@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cobsim import crypto, engine, mgc, netsim
+from cobsim import crypto, engine, mbba, netsim
 from cobsim.crypto import KeyRegistry
 from cobsim.engine import CobInstanceId, CobParams
 
@@ -12,6 +14,34 @@ def make_params(m=3, n=20, committee=None, tag=b"t"):
     reg = KeyRegistry(n, crypto.digest(b"engine", tag))
     inst = CobInstanceId(b"chain", 0, 0, "slot_timing")
     return CobParams(inst, m, crypto.digest(b"e", tag), reg, committee or n)
+
+
+def counts_for(params, payload):
+    """(m, V) step tally holding one message with ``payload``."""
+    c = np.zeros((params.m, len(params.interner)), dtype=np.int32)
+    for comp, vid in enumerate(payload):
+        c[comp, vid] += 1
+    return c
+
+
+def graded_node(m=2, n=1, tag=b"lifecycle"):
+    """A node past the three graded steps, each tallying only its own
+    message, so every component has grade 2 and bit 0."""
+    params = make_params(m=m, n=n, committee=n, tag=tag)
+    state = engine.cob_start(params, 0, [bytes([65 + c]) for c in range(m)])
+    payload = state.observation
+    for step in (1, 2, 3):
+        sends = engine.on_step_deadline(
+            state, ("mgc", step), engine.NodeTally(counts=counts_for(params, payload)))
+        payload = sends[0].payload_ids if step < 3 else None
+    assert state.stage == engine.MBBA and state.current_step_key() == ("mbba", 0, 0)
+    return state
+
+
+def certified_digest(state):
+    bits = state.bits.tolist()
+    values = engine.output_values(state._theta_values(), bits)
+    return bytes(bits), engine.output_digest(state.params.digest, bits, values)
 
 
 def run_instance(net, m, observations, committee=None, entropy=None, tag=0):
@@ -100,31 +130,27 @@ def test_certificate_roundtrip_and_mutations():
     ok = engine.verify_certificate(cert, net.registry, res.params.tau_final, net.n, entropy)
     assert ok
 
-    # below threshold after dropping supporters
-    thin = engine.Certificate(cert.instance, cert.bits, cert.theta_digest,
-                              cert.supporters[: res.params.t_cert - 1])
-    assert not engine.verify_certificate(thin, net.registry, res.params.tau_final, net.n, entropy)
-
-    # mutate each field of one supporter
-    import dataclasses
-
-    victim = cert.supporters[0]
-    mutants = [
-        dataclasses.replace(victim, node_id=(victim.node_id + 1) % net.n),
-        dataclasses.replace(victim, pseudo_vrf_output=bytes(32)),
-        dataclasses.replace(victim, signature=bytes(64)),
-    ]
-    for bad in mutants:
-        supporters = [bad] + list(cert.supporters[1:])
+    # each mutation of one supporter fails with its own reason
+    def reasons_for(supporters):
         mutated = engine.Certificate(cert.instance, cert.bits, cert.theta_digest, supporters)
         reasons = []
-        ok = engine.verify_certificate(mutated, net.registry, res.params.tau_final, net.n,
-                                       entropy, reasons)
-        if ok:
-            # dropping one supporter may still leave a quorum; force thinness
-            assert len(cert.supporters) > res.params.t_cert
-        else:
-            assert reasons
+        assert not engine.verify_certificate(mutated, net.registry, res.params.tau_final,
+                                             net.n, entropy, reasons)
+        return reasons
+
+    victim = cert.supporters[0]
+    rest = list(cert.supporters[1:])
+    for bad, reason in [
+        (dataclasses.replace(victim, node_id=(victim.node_id + 1) % net.n),
+         "sortition output mismatch"),
+        (dataclasses.replace(victim, node_id=net.n), "sortition output mismatch"),
+        (dataclasses.replace(victim, pseudo_vrf_output=bytes(32)), "sortition output mismatch"),
+        (dataclasses.replace(victim, signature=bytes(64)), "bad signature"),
+    ]:
+        assert reasons_for([bad] + rest) == [f"supporter {bad.node_id}: {reason}"]
+    t_cert = res.params.t_cert
+    assert reasons_for(cert.supporters[: t_cert - 1]) == [
+        f"only {t_cert - 1} valid supporters, need {t_cert}"]
 
     # mutated bits invalidate every supporter signature
     flipped = engine.Certificate(cert.instance, tuple(1 - b for b in cert.bits),
@@ -155,70 +181,112 @@ def test_grade2_component_keeps_value():
     assert res.bits[0] == 0
 
 
-def test_cob_on_event_single_node_contract():
+def test_single_node_lifecycle_contract():
     # Drive one node through the whole instance by hand: unanimity means the
     # node's own view suffices to reach a decided final state.
     params = make_params(m=2, n=1, committee=1, tag=b"single")
     state = engine.cob_start(params, 0, [b"x", b"y"])
     sends = engine.initial_send(state)
     assert sends and sends[0].step_key == ("mgc", 1)
+    assert engine.next_deadline(state) == ("mgc", 1)
     own = np.array(params.interner.intern_vector([b"x", b"y"]), dtype=np.int32)
 
-    def counts_for(payload):
-        c = np.zeros((2, len(params.interner)), dtype=np.int32)
-        for comp, vid in enumerate(payload):
-            c[comp, vid] += 1
-        return c
-
-    tally = engine.NodeTally(counts=counts_for(own))
-    state, sends, out = engine.cob_on_event(state, ("timeout", ("mgc", 1), tally))
-    assert sends[0].step_key == ("mgc", 2) and out is None
-    state, sends, out = engine.cob_on_event(
-        state, ("timeout", ("mgc", 2), engine.NodeTally(counts=counts_for(sends[0].payload_ids))))
-    state, sends, out = engine.cob_on_event(
-        state, ("timeout", ("mgc", 3), engine.NodeTally(counts=counts_for(sends[0].payload_ids))))
+    with pytest.raises(ValueError):
+        engine.on_step_deadline(state, ("mgc", 2), engine.NodeTally(counts=counts_for(params, own)))
+    sends = engine.on_step_deadline(state, ("mgc", 1),
+                                    engine.NodeTally(counts=counts_for(params, own)))
+    assert sends[0].step_key == ("mgc", 2) and state.output is None
+    for step in (2, 3):
+        sends = engine.on_step_deadline(
+            state, ("mgc", step), engine.NodeTally(counts=counts_for(params, sends[0].payload_ids)))
     assert state.grades.tolist() == [2, 2]
     assert state.bits.tolist() == [0, 0]
+    assert engine.next_deadline(state) == ("mbba", 0, 0)
     # phase 0 with its own zero-vote reaches the degenerate quorum of one
     tally = engine.NodeTally(zeros=np.array([1, 1]), ones=np.zeros(2, int),
                              flagged_zeros=np.zeros(2, int), flagged_ones=np.zeros(2, int))
-    state, sends, out = engine.cob_on_event(state, ("timeout", ("mbba", 0, 0), tally))
+    sends = engine.on_step_deadline(state, ("mbba", 0, 0), tally)
     assert state.halted
-    assert any(p.step_key == engine.FINAL_STEP for p in sends)
-
-    with pytest.raises(ValueError):
-        engine.cob_on_event(state, ("bogus",))
+    assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
+    # halted, the node echoes its decided bits with final flags
+    assert engine.next_deadline(state) == ("mbba", 0, 1)
+    sends = engine.on_echo_deadline(state)
+    assert [p.step_key for p in sends] == [("mbba", 0, 2)]
+    assert sends[0].flags.tolist() == [1, 1]
 
 
 def test_iteration_cap_aborts_with_liveness_error():
     # adversarial schedule: quorums never form, the loop must abort loudly
     # at the cap instead of silently defaulting
-    from cobsim import mbba
-
-    params = make_params(m=1, n=9, committee=9, tag=b"cap")
-    state = engine.cob_start(params, 0, [b"x"])
-    own = np.array(params.interner.intern_vector([b"x"]), dtype=np.int32)
-
-    def counts_for(payload):
-        c = np.zeros((1, len(params.interner)), dtype=np.int32)
-        c[0, payload[0]] += 1
-        return c
-
-    for step in (1, 2, 3):
-        state, sends, _ = engine.cob_on_event(
-            state, ("timeout", ("mgc", step), engine.NodeTally(counts=counts_for(own))))
+    state = graded_node(m=1, n=9, tag=b"cap")
     starved = engine.NodeTally(zeros=np.array([1]), ones=np.array([1]),
                                flagged_zeros=np.array([0]), flagged_ones=np.array([0]),
                                coin_min_vrf=2)
     with pytest.raises(mbba.LivenessError) as err:
         for _ in range(3 * mbba.ITERATION_CAP + 3):
-            key = state.current_step_key()
-            tally = starved if key[2] != mbba.PHASE_COIN else engine.NodeTally(
-                zeros=np.array([1]), ones=np.array([1]),
-                flagged_zeros=np.array([0]), flagged_ones=np.array([0]), coin_min_vrf=2)
-            state, _, _ = engine.cob_on_event(state, ("timeout", key, tally))
+            engine.on_step_deadline(state, state.current_step_key(), starved)
     assert "iteration cap" in str(err.value)
     assert state.liveness_failed
+    assert state.stage == engine.DONE and engine.next_deadline(state) is None
+
+
+@pytest.mark.parametrize("phase", [0, 1, mbba.PHASE_COIN])
+def test_advance_moves_one_phase(phase):
+    state = graded_node()
+    state.iteration, state.phase = 3, phase
+    assert engine._advance(state)
+    want = (4, 0) if phase == mbba.PHASE_COIN else (3, phase + 1)
+    assert (state.iteration, state.phase) == want
+
+
+def test_advance_stops_at_the_iteration_cap():
+    state = graded_node()
+    last = mbba.ITERATION_CAP - 1
+    state.iteration, state.phase = last, mbba.PHASE_COIN - 1
+    assert engine._advance(state)
+    assert (state.iteration, state.phase) == (last, mbba.PHASE_COIN)
+    assert not engine._advance(state)
+    assert (state.iteration, state.phase) == (mbba.ITERATION_CAP, 0)
+
+
+def test_next_deadline_and_echo_budget():
+    state = graded_node()
+    assert engine.next_deadline(state) == ("mbba", 0, 0)
+    sends = engine.adopt_decided_bits(state, bytes([0, 0]))
+    assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
+    assert state.halted and engine.next_deadline(state) == ("mbba", 0, 1)
+    # the last echo of the budget, then the node goes quiet
+    state.iteration, state.phase = mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1
+    assert [p.step_key for p in engine.on_echo_deadline(state)] == [
+        ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)]
+    assert engine.next_deadline(state) is not None
+    assert engine.on_echo_deadline(state) is None
+    assert state.halted and engine.next_deadline(state) is None
+    # halting in the last coin phase leaves no echo at all
+    state = graded_node()
+    state.iteration, state.phase = mbba.ITERATION_CAP - 1, mbba.PHASE_COIN
+    assert [p.step_key for p in engine.adopt_decided_bits(state, bytes([0, 0]))] == [
+        engine.FINAL_STEP]
+    assert engine.next_deadline(state) is None
+
+
+def test_straggler_adopting_an_output_casts_one_final():
+    state = graded_node()
+    bits_bytes, digest = certified_digest(state)
+    cert = engine.Certificate(state.params.instance, tuple(bits_bytes), digest, [])
+    # a digest the node's own theta does not reproduce is refused
+    assert engine.adopt_output(state, bits_bytes, bytes(32), cert) is None
+    assert state.output is None and not state.halted
+    sends = engine.adopt_output(state, bits_bytes, digest, cert)
+    assert [p.step_key for p in sends] == [engine.FINAL_STEP]
+    assert sends[0].theta_digest == digest
+    assert state.final_payload == (bits_bytes, digest)
+    assert state.halted and state.stage == engine.DONE
+    assert state.output.certificate is cert
+    assert engine.next_deadline(state) is None
+    assert engine.on_echo_deadline(state) is None
+    # holding its output and its own final, the node sends nothing more
+    assert engine.adopt_output(state, bits_bytes, digest, cert) == []
 
 
 def test_horizon_exceeded_leaves_partial_trace_marker():

@@ -115,7 +115,8 @@ def test_common_coin_from_minimum_output():
     pool = netsim.Pool(n=2, m=1)
     for k, vrf in enumerate([7, 12, 3, 98]):
         arrivals = np.array([1.0, 5.0 if vrf in (3, 7) else 1.0])
-        pool.add(k, np.zeros(1, dtype=np.int32), arrivals, vrf, 10, bytes([k]))
+        vrf_out = vrf.to_bytes(8, "big") + bytes(24)  # the coin reads the leading 64 bits
+        pool.add(k, np.zeros(1, dtype=np.int32), arrivals, bytes([k]), vrf_out)
     mins, present = pool.min_vrf(np.array([2.0, 2.0]))
     assert present.all()
     assert mins.tolist() == [3, 12]

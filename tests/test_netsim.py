@@ -274,6 +274,34 @@ def test_adoption_from_finals_takes_both_branches(monkeypatch):
     assert kinds["output"] > 0 and kinds["halted"] > 0
 
 
+def test_straggler_adopting_an_output_sends_one_final(monkeypatch):
+    # On a complete graph some nodes reach an agreement deadline after a
+    # certificate quorum of finals arrived but before casting their own:
+    # they adopt the output and back it with exactly one final.
+    cfg = scenario.ScenarioConfig.from_dict({
+        "mode": "simulate", "n": 25, "committee": 25, "m": 4, "observation_plan": "mixed",
+        "adversary": "honest", "topology": "complete", "seed": 5,
+    })
+    stragglers = []
+    adopt = netsim.InstanceRunner._maybe_adopt_from_finals
+
+    def spy(self, node, t_abs):
+        had_final = self.states[node].final_payload is not None
+        action = adopt(self, node, t_abs)
+        if action is not None and action[0] == "output" and not had_final:
+            stragglers.append((self, node, action[1]))
+        return action
+
+    monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy)
+    assert scenario.run_simulate(cfg).ok
+    assert stragglers
+    for runner, v, plans in stragglers:
+        state = runner.states[v]
+        assert [p.step_key for p in plans] == [engine.FINAL_STEP]
+        assert runner.pools[engine.FINAL_STEP].senders.count(v) == 1
+        assert state.halted and state.stage == engine.DONE and state.output is not None
+
+
 def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
     # The horizon cuts the instance while some nodes are still waiting for
     # their next deadline: 41 nodes adopt from the final pool, 59 assemble
