@@ -52,9 +52,11 @@ def cmd_simulate(args) -> int:
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{seed}"
             result.trace.write_jsonl(path)
-        if not result.ok:
+        failures = result.failures()
+        if failures:
             ok = False
-            print(f"run seed={seed}: liveness failure, no certified output", file=sys.stderr)
+            for line in failures:
+                print(f"run seed={seed}: {line}", file=sys.stderr)
         else:
             print(f"run seed={seed}: {len(result.results)} instance(s) certified, "
                   f"trace digest {result.trace.digest()[:16]}")

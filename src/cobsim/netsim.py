@@ -24,17 +24,19 @@ runner hands the node its tally (or a catch-up from the final pool), and
 after every event it asks ``engine.next_deadline`` for the node's next
 step, which it schedules with one push, or none once the node is done or
 its echo budget is spent.  Tallies for all nodes of a step are evaluated
-in one batched kernel call when the first deadline of that step fires;
-the pool is complete by then because sends happen one full step earlier
-and steps outlast the clock skew.
+in one batched kernel call when the first deadline of that step fires.
+Sends happen one full step earlier, so the pool is usually complete by
+then; when the clock skew exceeds a step, a row that joins later drops
+the cached tally and the next deadline evaluates it again.
 
-The final-vote pool keeps a census as votes arrive: per content (bits,
-theta digest), the first final of each sender and its arrival times,
-appended to one growing matrix.  A straggler's catch-up check and the
-closing certificate assembly read one column of it; every final row
-carries one prebuilt ``FinalVote``, so a certificate only collects
-references, and a node that already adopted an output builds no second
-certificate when the instance closes.
+Every pool stores each accepted row once.  A step pool appends payload
+and delivery rows to two growing matrices, which its tally reads sorted
+by sender.  The final pool keeps only its census, built as votes arrive:
+per content (bits, theta digest), the first ``FinalVote`` of each sender
+and that vote's arrival times.  A straggler's catch-up check and the
+closing certificate assembly read one column of the arrivals and collect
+references to the votes, and a node that already adopted an output builds
+no second certificate when the instance closes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import hashlib
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -339,123 +342,110 @@ _HONEST = Strategy()
 # Message pools
 
 
+class _Rows:
+    """Rows appended in place to one growing matrix, doubled when full."""
+
+    def __init__(self, width: int, dtype):
+        self._data = np.empty((8, width), dtype=dtype)
+        self.size = 0
+
+    def append(self, row):
+        if self.size == len(self._data):
+            grown = np.empty((2 * self.size, self._data.shape[1]), dtype=self._data.dtype)
+            grown[: self.size] = self._data
+            self._data = grown
+        self._data[self.size] = row
+        self.size += 1
+
+    def view(self) -> np.ndarray:
+        return self._data[: self.size]
+
+
 class _Census:
-    """One content's finals, first per sender, arrivals appended in place."""
+    """One content's finals: each sender's first vote and its arrival times."""
 
     def __init__(self, n: int):
-        self.rows: list[int] = []
+        self.votes: list[engine.FinalVote] = []
         self.senders: set[int] = set()
-        self._arrivals = np.empty((8, n), dtype=np.float64)
-
-    def add(self, row: int, sender: int, delivery_row: np.ndarray) -> bool:
-        if sender in self.senders:
-            return False
-        k = len(self.rows)
-        if k == len(self._arrivals):
-            grown = np.empty((2 * k, self._arrivals.shape[1]), dtype=np.float64)
-            grown[:k] = self._arrivals
-            self._arrivals = grown
-        self._arrivals[k] = delivery_row
-        self.rows.append(row)
-        self.senders.add(sender)
-        return True
-
-    def view(self):
-        return tuple(self.rows), self._arrivals[: len(self.rows)]
+        self.arrivals = _Rows(n, np.float64)
 
 
 class Pool:
-    """All wire variants of one (instance, step), with delivery rows.
+    """All wire variants of one (instance, step), each row stored once.
 
-    The final pool also keeps its census up to date as votes arrive: per
-    content, the rows of each sender's first matching final and their
-    stacked arrival times.
+    A step pool appends every accepted variant's payload and delivery row
+    to two growing matrices.  The final pool keeps only its census: per
+    content (bits, theta digest), the first ``FinalVote`` of each sender
+    and its arrival times.
     """
 
     def __init__(self, n: int, m: int, final: bool = False):
         self.n = n
-        self.m = m  # components per payload row
-        self.senders: list[int] = []
-        self.payloads: list = []  # (m,) int32 rows, or (bits, digest, sig) for finals
-        self.deliveries: list[np.ndarray] = []
-        self.vrf64: list[int] = []
         self.digests: set[bytes] = set()
-        self.votes: list[engine.FinalVote] | None = [] if final else None
-        self._census: dict[tuple, _Census] = {}
-        self._arrays = None
+        self._census: dict[tuple, _Census] | None = None
+        if final:
+            self._census = {}
+            return
+        self.senders: list[int] = []
+        self.vrf64: list[int] = []
+        self.payloads = _Rows(m, np.int32)
+        self.deliveries = _Rows(n, np.float64)
         self._tallies: dict = {}
-        self._groups = None
 
     def add(self, sender, payload_row, delivery_row, digest, vrf_out: bytes) -> bool:
         """Pool one wire variant unless its digest is already here.
 
         ``vrf_out`` is the sender's sortition output; its leading 64 bits
-        feed the coin.  In the final pool the row also becomes a
-        ``FinalVote`` (sender, ``vrf_out``, signature) and joins the census.
+        feed the coin.  A final's payload is (bits, theta digest,
+        signature); it joins the census as a ``FinalVote`` (sender,
+        ``vrf_out``, signature) unless its sender already backs that content.
         """
         if digest in self.digests:
             return False  # gossip duplicate suppression
         self.digests.add(digest)
-        if self.votes is not None:
-            self.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
+        if self._census is not None:
             key = (payload_row[0], payload_row[1])
             group = self._census.get(key)
             if group is None:
                 group = self._census[key] = _Census(self.n)
-            if group.add(len(self.senders), sender, delivery_row):
-                self._groups = None
+            if sender not in group.senders:
+                group.senders.add(sender)
+                group.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
+                group.arrivals.append(delivery_row)
+            return True
         self.senders.append(sender)
+        self.vrf64.append(crypto.u64_from(vrf_out))
         self.payloads.append(payload_row)
         self.deliveries.append(delivery_row)
-        self.vrf64.append(crypto.u64_from(vrf_out))
-        self._arrays = None
         self._tallies.clear()
         return True
 
     def final_groups(self):
-        """Finals grouped by content: {(bits, digest): (row idxs, arrivals)}.
+        """Finals grouped by content: {(bits, digest): (votes, arrivals)}.
 
-        Rows are deduplicated per sender (first emitted wins); arrivals[j]
-        is the delivery row of row idxs[j].
+        One vote per sender (first emitted wins); arrivals[j] is the
+        delivery row of votes[j].  Both are the census's own storage.
         """
-        if self._groups is None:
-            self._groups = {key: group.view() for key, group in self._census.items()}
-        return self._groups
-
-    def arrays(self):
-        if self._arrays is None:
-            if not self.senders:
-                self._arrays = (
-                    np.zeros(0, dtype=np.int32),
-                    np.zeros((0, self.m), dtype=np.int32),
-                    np.zeros((0, self.n), dtype=np.float64),
-                    np.zeros(0, dtype=np.uint64),
-                )
-            else:
-                senders = np.array(self.senders, dtype=np.int32)
-                order = np.argsort(senders, kind="stable")
-                payloads = np.stack([self.payloads[i] for i in order]).astype(np.int32)
-                deliveries = np.stack([self.deliveries[i] for i in order])
-                vrf = np.array([self.vrf64[i] for i in order], dtype=np.uint64)
-                self._arrays = (senders[order], payloads, deliveries, vrf)
-        return self._arrays
+        return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
 
     def tally(self, deadlines: np.ndarray, num_values: int) -> np.ndarray:
         """(n, m, V) counts at per-node deadlines; one kernel call per step."""
         key = (float(deadlines[0]), num_values)
         hit = self._tallies.get(key)
         if hit is None:
-            senders, payloads, deliveries, _ = self.arrays()
-            hit = kernels.tally_votes(deliveries, deadlines, senders, payloads, num_values)
+            senders = np.array(self.senders, dtype=np.int32)
+            order = np.argsort(senders, kind="stable")
+            hit = kernels.tally_votes(self.deliveries.view()[order], deadlines, senders[order],
+                                      self.payloads.view()[order], num_values)
             self._tallies[key] = hit
         return hit
 
     def min_vrf(self, deadlines: np.ndarray):
         """(mins, present): per-node minimum sortition output among timely rows."""
-        senders, _, deliveries, vrf = self.arrays()
-        if len(senders) == 0:
+        if not self.senders:
             return np.zeros(self.n, dtype=np.uint64), np.zeros(self.n, dtype=bool)
-        counted = deliveries <= deadlines[None, :]
+        counted = self.deliveries.view() <= deadlines[None, :]
+        vrf = np.array(self.vrf64, dtype=np.uint64)
         masked = np.where(counted, vrf[:, None], np.uint64(U64MAX))
         return masked.min(axis=0), counted.any(axis=0)
 
@@ -680,16 +670,16 @@ class InstanceRunner:
         """
         pool = self.pools.get(engine.FINAL_STEP)
         state = self.states[node]
-        if pool is None or len(pool.senders) < self.params.t_adopt:
+        if pool is None or len(pool.digests) < self.params.t_adopt:
             return None
         census = []
-        for key, (rows, arrivals) in pool.final_groups().items():
+        for key, (votes, arrivals) in pool.final_groups().items():
             held = arrivals[:, node] <= t_abs
-            census.append((int(np.count_nonzero(held)), key, rows, held))
+            census.append((int(np.count_nonzero(held)), key, votes, held))
         census.sort(key=lambda g: (-g[0], g[1]))
-        for count, (bits_bytes, theta_digest), rows, held in census:
+        for count, (bits_bytes, theta_digest), votes, held in census:
             if count >= self.params.t_cert:
-                cert = self._certificate(bits_bytes, theta_digest, rows, held)
+                cert = self._certificate(bits_bytes, theta_digest, votes, held)
                 plans = engine.adopt_output(state, bits_bytes, theta_digest, cert)
                 if plans is not None:
                     return ("output", plans)
@@ -697,13 +687,10 @@ class InstanceRunner:
                 return ("halted", engine.adopt_decided_bits(state, bits_bytes))
         return None
 
-    def _certificate(self, bits, theta_digest, rows, held=None) -> engine.Certificate:
-        """Certificate over the final rows ``rows``, or those selected by ``held``."""
-        votes = self.pools[engine.FINAL_STEP].votes
-        picked = rows if held is None else [rows[j] for j in np.flatnonzero(held)]
-        return engine.Certificate(
-            self.params.instance, tuple(bits), theta_digest, [votes[i] for i in picked]
-        )
+    def _certificate(self, bits, theta_digest, votes, held=None) -> engine.Certificate:
+        """Certificate over the census ``votes``, or those selected by ``held``."""
+        picked = list(votes) if held is None else list(compress(votes, held.tolist()))
+        return engine.Certificate(self.params.instance, tuple(bits), theta_digest, picked)
 
     # -- event loop -------------------------------------------------------------
     def run(self, horizon: float = np.inf) -> InstanceResult:
@@ -765,19 +752,19 @@ class InstanceRunner:
         net, params = self.net, self.params
         pool = self.pools.get(engine.FINAL_STEP)
         outputs: dict[int, engine.CobOutput] = {}
-        if pool is None or not pool.senders:
+        if pool is None or not pool.digests:
             return InstanceResult(params, self.states, outputs, None, liveness, False)
-        quorum_key, rows, arrivals = None, None, None
-        for gkey, (idxs, arr) in sorted(pool.final_groups().items()):
-            if len(idxs) >= params.t_cert:
-                quorum_key, rows, arrivals = gkey, idxs, arr
+        quorum_key, votes, arrivals = None, None, None
+        for gkey, (group_votes, arr) in sorted(pool.final_groups().items()):
+            if len(group_votes) >= params.t_cert:
+                quorum_key, votes, arrivals = gkey, group_votes, arr
                 break
         if quorum_key is None:
             return InstanceResult(params, self.states, outputs, None, liveness, False)
         bits_bytes, theta_digest = quorum_key
         bits = tuple(bits_bytes)
         assembly = np.sort(arrivals, axis=0)[params.t_cert - 1, :]
-        canonical = self._certificate(bits, theta_digest, rows)
+        canonical = self._certificate(bits, theta_digest, votes)
         for v in range(net.n):
             t_v = float(assembly[v])
             if not np.isfinite(t_v):
@@ -787,7 +774,7 @@ class InstanceRunner:
             # A node that adopted from the final pool already holds its output.
             if state.output is not None or engine.adopt_certificate(
                 state, bits, theta_digest,
-                self._certificate(bits, theta_digest, rows, arrivals[:, v] <= t_v),
+                self._certificate(bits, theta_digest, votes, arrivals[:, v] <= t_v),
             ):
                 outputs[v] = state.output
                 net.trace.add(t_v, net.local(v, t_v), v, "output", self.label,

@@ -27,6 +27,8 @@ class ConfigError(ValueError):
 ADVERSARIES = ("honest", "crash", "equivocate", "withhold_then_release",
                "bit_flip_votes", "late_block", "mixed")
 TOPOLOGIES = ("complete", "ring", "watts_strogatz", "geometric")
+TOPOLOGY_PARAMS = {"complete": (), "ring": (), "watts_strogatz": ("k", "p"),
+                   "geometric": ("radius",)}
 MODES = ("simulate", "chain")
 
 
@@ -84,6 +86,7 @@ class ScenarioConfig:
             )
         req(self.adversary in ADVERSARIES, "adversary", f"must be one of {ADVERSARIES}")
         req(self.topology in TOPOLOGIES, "topology", f"must be one of {TOPOLOGIES}")
+        self._validate_topology_params()
         req(self.lam_base > 0, "lam_base", "must be positive")
         req(self.lam_per_byte >= 0, "lam_per_byte", "must be non-negative")
         req(0 <= self.d_min <= self.d_max, "d_min", "need 0 <= d_min <= d_max")
@@ -108,6 +111,29 @@ class ScenarioConfig:
             req(self.block_size >= 1, "block_size", "must be positive")
             req(self.slot_duration > 0, "slot_duration", "must be positive")
         return self
+
+    def _validate_topology_params(self):
+        """Reject what ``netsim.build_topology`` cannot build, naming the field."""
+        params = self.topology_params
+        if not isinstance(params, dict):
+            raise ConfigError("topology_params", "must be an object")
+        if self.topology == "watts_strogatz" and self.n == 2:
+            # Each node needs two ring neighbours, and a second node is only one.
+            raise ConfigError("topology", "watts_strogatz cannot connect 2 nodes; "
+                              "use complete or ring")
+        allowed = TOPOLOGY_PARAMS[self.topology]
+        for key, value in params.items():
+            fname = f"topology_params.{key}"
+            if key not in allowed:
+                raise ConfigError(fname, f"unknown for {self.topology}, which takes "
+                                  f"{', '.join(allowed) or 'no parameters'}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key == "k" and not (number and isinstance(value, int) and value >= 2):
+                raise ConfigError(fname, "must be an integer >= 2 (ring neighbours per node)")
+            if key == "p" and not (number and 0.0 <= value <= 1.0):
+                raise ConfigError(fname, "must be a probability in [0, 1]")
+            if key == "radius" and not (number and value >= 0.0):
+                raise ConfigError(fname, "must be a non-negative number (0 picks the default)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -240,15 +266,22 @@ class SimulateResult:
     results: list[netsim.InstanceResult]
     trace: netsim.Trace
 
+    def failures(self) -> list[str]:
+        """One line per instance that did not give every honest node an output."""
+        honest = [v for v in range(self.config.n) if v not in self.net.byz]
+        lines = []
+        for k, res in enumerate(self.results):
+            missing = [str(v) for v in honest if v not in res.outputs]
+            if not res.certified:
+                lines.append(f"instance {k}: liveness failure, no certified output")
+            elif missing:
+                lines.append(f"instance {k}: certified, but honest node(s) "
+                             f"{', '.join(missing)} hold no output")
+        return lines
+
     @property
     def ok(self) -> bool:
-        honest = [v for v in range(self.config.n) if v not in self.net.byz]
-        for res in self.results:
-            if not res.certified:
-                return False
-            if any(v not in res.outputs for v in honest):
-                return False
-        return True
+        return not self.failures()
 
 
 def run_simulate(config: ScenarioConfig, seed: int | None = None) -> SimulateResult:

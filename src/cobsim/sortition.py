@@ -4,7 +4,9 @@ Each node is selected for a protocol step independently with probability
 tau/N, by comparing a keyed hash of the step seed against an integer
 threshold.  The construction is a pseudo-VRF: output = H(secret, seed),
 deterministic per (seed, node) and uniform across distinct seeds, so
-committee sizes are binomial exactly as the analysis assumes.
+committee sizes are binomial exactly as the analysis assumes.  A proof is
+checked by drawing again: ``engine.verify_certificate`` does so for every
+supporter of a certificate.
 """
 
 from __future__ import annotations
@@ -84,43 +86,3 @@ def draw(
     sig = crypto.sign(secret, b"sortition-proof" + seed_bytes + output)
     return SortitionProof(node_id, output, sig)
 
-
-def verify(
-    seed: SortitionSeed,
-    proof: SortitionProof,
-    registry: KeyRegistry,
-    expected_committee: float,
-    population: int,
-) -> bool:
-    """True iff draw() at the claimed node would have produced exactly this proof."""
-    try:
-        _check_params(expected_committee, population)
-    except ValueError:
-        return False
-    if not 0 <= proof.node_id < registry.num_nodes:
-        return False
-    secret = registry.secret(proof.node_id)
-    seed_bytes = seed.encode()
-    expected = crypto.keyed_digest(secret, b"sortition", seed_bytes)
-    if expected != proof.pseudo_vrf_output:
-        return False
-    if crypto.u64_from(expected) >= selection_threshold(expected_committee, population):
-        return False
-    return registry.verify(
-        proof.node_id, b"sortition-proof" + seed_bytes + expected, proof.signature
-    )
-
-
-def committee(
-    seed: SortitionSeed,
-    registry: KeyRegistry,
-    expected_committee: float,
-    population: int,
-) -> dict[int, SortitionProof]:
-    """Proofs for every selected node; simulator-side convenience over per-node draw."""
-    out = {}
-    for node in range(population):
-        proof = draw(seed, node, registry, expected_committee, population)
-        if proof is not None:
-            out[node] = proof
-    return out

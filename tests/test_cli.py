@@ -165,3 +165,41 @@ def test_bench_json_out_without_csv(tmp_path):
     jout = tmp_path / "costs.json"
     assert cli.main(["bench", "--shards", "1:3", "--json-out", str(jout)]) == cli.EXIT_OK
     assert len(json.loads(jout.read_text())["rows"]) == 6
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"n": 2, "committee": 2}, "'topology'"),  # the default watts_strogatz
+    ({"topology_params": {"k": 1}}, "'topology_params.k'"),
+    ({"topology_params": {"k": 0}}, "'topology_params.k'"),
+    ({"topology_params": {"k": "x"}}, "'topology_params.k'"),
+    ({"topology_params": {"p": 1.5}}, "'topology_params.p'"),
+    ({"topology_params": {"q": 1}}, "'topology_params.q'"),
+    ({"topology": "ring", "topology_params": {"k": 4}}, "'topology_params.k'"),
+    ({"topology": "geometric", "topology_params": {"radius": -1}}, "'topology_params.radius'"),
+    ({"topology_params": [4]}, "'topology_params'"),
+    ({"n": 3, "committee": 3}, None),
+    ({"n": 2, "committee": 2, "topology": "ring"}, None),
+    ({"topology_params": {"k": 2, "p": 1}}, None),
+])
+def test_topology_networkx_cannot_build_is_a_config_error(tmp_path, capsys, over, field):
+    path = write_config(tmp_path, "topo.json", {**SIM, "n": 10, "committee": 10, **over})
+    code = cli.main(["simulate", "--config", path])
+    err = capsys.readouterr().err
+    if field is None:
+        assert code == cli.EXIT_OK and err == ""
+    else:
+        assert code == cli.EXIT_CONFIG and err.startswith(f"invalid config: config field {field}")
+
+
+def test_certified_instance_without_honest_outputs_says_so(tmp_path, capsys):
+    # A two-seat expected committee certifies, but five honest nodes' theta
+    # does not reproduce the certified digest, so they hold no output.
+    path = write_config(tmp_path, "tiny.json", {
+        "mode": "simulate", "n": 26, "committee": 2.68, "byzantine_fraction": 0.2,
+        "adversary": "equivocate", "topology": "ring", "m": 5,
+        "observation_plan": "unanimous", "seed": 167,
+    })
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_LIVENESS
+    err = capsys.readouterr().err
+    assert err == ("run seed=167: instance 0: certified, but honest node(s) "
+                   "0, 6, 12, 21, 23 hold no output\n")

@@ -50,6 +50,12 @@ def corpus() -> dict[str, scenario.ScenarioConfig]:
         "mode": "simulate", "n": 60, "committee": 30, "m": 4, "observation_plan": "mixed",
         "adversary": "mixed", "topology": "ring", "byzantine_fraction": 0.2, "seed": 3,
     })
+    # Clock skew of six steps: rows reach a step pool after its first tally,
+    # so a late row must invalidate the cached tally.
+    cases["skew/n25-mixed-skew6"] = scenario.ScenarioConfig.from_dict({
+        "mode": "simulate", "n": 25, "committee": 12, "m": 4, "observation_plan": "mixed",
+        "adversary": "mixed", "byzantine_fraction": 0.2, "initial_skew": 6, "seed": 2,
+    })
     return cases
 
 

@@ -3,10 +3,31 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from cobsim import crypto, engine, netsim, scenario
+from cobsim import _kernels, crypto, engine, netsim, scenario
 
 from conftest import make_network
-from test_golden import SCALE_N100
+from test_golden import SCALE_N100, corpus
+
+
+def spy_pool_rows(monkeypatch) -> dict:
+    """Record every row a ``Pool`` accepts, in arrival order, keyed by the pool.
+
+    Each entry is (sender, payload row, delivery row, sortition output), as
+    the runner offered it; the pool's own storage is not consulted.  Keying
+    by the pool keeps it alive, so no later pool can share its key.
+    """
+    rows: dict[netsim.Pool, list] = {}
+    add = netsim.Pool.add
+
+    def spy(pool, sender, payload_row, delivery_row, digest, vrf_out):
+        accepted = add(pool, sender, payload_row, delivery_row, digest, vrf_out)
+        if accepted:
+            rows.setdefault(pool, []).append(
+                (sender, payload_row, np.array(delivery_row), vrf_out))
+        return accepted
+
+    monkeypatch.setattr(netsim.Pool, "add", spy)
+    return rows
 
 
 def test_topology_families_connected():
@@ -283,6 +304,7 @@ def test_straggler_adopting_an_output_sends_one_final(monkeypatch):
         "adversary": "honest", "topology": "complete", "seed": 5,
     })
     stragglers = []
+    rows = spy_pool_rows(monkeypatch)
     adopt = netsim.InstanceRunner._maybe_adopt_from_finals
 
     def spy(self, node, t_abs):
@@ -298,7 +320,8 @@ def test_straggler_adopting_an_output_sends_one_final(monkeypatch):
     for runner, v, plans in stragglers:
         state = runner.states[v]
         assert [p.step_key for p in plans] == [engine.FINAL_STEP]
-        assert runner.pools[engine.FINAL_STEP].senders.count(v) == 1
+        finals = rows[runner.pools[engine.FINAL_STEP]]
+        assert [sender for sender, *_ in finals].count(v) == 1
         assert state.halted and state.stage == engine.DONE and state.output is not None
 
 
@@ -308,6 +331,7 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
     # their certificate when the run finishes.
     cfg = scenario.ScenarioConfig.from_dict({**SCALE_N100, "horizon": 21.44})
     runs, adopted_at, builds = [], {}, Counter()
+    rows = spy_pool_rows(monkeypatch)
     run = netsim.InstanceRunner.run
     adopt = netsim.InstanceRunner._maybe_adopt_from_finals
     init = engine.Certificate.__init__
@@ -336,11 +360,10 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
     late = 0
     for runner, res in runs:
         params, net = runner.params, runner.net
-        pool = runner.pools[engine.FINAL_STEP]
-        first = {}  # sender -> its first final row with the certified content
-        for i, (sender, payload) in enumerate(zip(pool.senders, pool.payloads)):
+        first = {}  # sender -> (signature, delivery row) of its first certified final
+        for sender, payload, delivery, _ in rows[runner.pools[engine.FINAL_STEP]]:
             if (payload[0], payload[1]) == (bytes(res.bits), res.theta_digest):
-                first.setdefault(sender, i)
+                first.setdefault(sender, (payload[2], delivery))
         for v in map(int, np.flatnonzero(net.honest_mask)):
             t = adopted_at.get((id(runner), v))
             if t is None:
@@ -348,8 +371,8 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
                 t = res.assembly_times[v]
             want = [
                 engine.FinalVote(sender, params.draw(engine.FINAL_STEP, sender).pseudo_vrf_output,
-                                 pool.payloads[i][2])
-                for sender, i in first.items() if pool.deliveries[i][v] <= t
+                                 sig)
+                for sender, (sig, delivery) in first.items() if delivery[v] <= t
             ]
             cert = res.outputs[v].certificate
             assert cert.supporters == want, v
@@ -360,3 +383,50 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
     outputs = [out.certificate for _, res in runs for out in res.outputs.values()]
     assert len({id(c) for c in outputs}) == len(outputs)
     assert builds["certificates"] == len(outputs) + len(runs)
+
+
+@pytest.mark.parametrize("case, late_rows", [
+    ("equivocate/watts_strogatz", False),
+    ("skew/n25-mixed-skew6", True),
+])
+def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
+    # Equivocators pool several rows per sender; under a six-step clock skew
+    # rows reach a step pool after its first tally.  At every node's
+    # deadline each step pool must count exactly what the kernel counts over
+    # the raw rows, sorted by sender with a stable sort, and its coin
+    # minimum must be the plain minimum over the timely rows.
+    rows = spy_pool_rows(monkeypatch)
+    node_tally = netsim.InstanceRunner.node_tally
+    seen = {}  # pool -> rows present at its first check
+    late = multi = 0
+
+    def spy(runner, step_key, node):
+        tally = node_tally(runner, step_key, node)
+        pool = runner.pools[step_key]
+        raw = rows.get(pool, [])
+        deadlines = runner.deadlines_for(step_key)
+        num_values = len(runner.params.interner) if step_key[0] == "mgc" else 4
+        senders = np.array([sender for sender, *_ in raw], dtype=np.int32)
+        order = np.argsort(senders, kind="stable")
+        payloads = np.array([payload for _, payload, *_ in raw], dtype=np.int32)
+        deliveries = np.array([delivery for _, _, delivery, _ in raw])
+        want = _kernels.tally_votes(
+            deliveries.reshape(len(raw), runner.net.n)[order], deadlines, senders[order],
+            payloads.reshape(len(raw), runner.params.m)[order], num_values)
+        assert np.array_equal(pool.tally(deadlines, num_values), want)
+        mins, present = pool.min_vrf(deadlines)
+        for v in range(runner.net.n):
+            timely = [crypto.u64_from(vrf) for _, _, delivery, vrf in raw
+                      if delivery[v] <= deadlines[v]]
+            assert bool(present[v]) == bool(timely)
+            if timely:
+                assert int(mins[v]) == min(timely)
+        nonlocal late, multi
+        late += seen.setdefault(pool, len(raw)) != len(raw)
+        multi += len(set(senders.tolist())) < len(raw)
+        return tally
+
+    monkeypatch.setattr(netsim.InstanceRunner, "node_tally", spy)
+    scenario.run_simulate(corpus()[case])
+    assert multi > 0
+    assert (late > 0) == late_rows

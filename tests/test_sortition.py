@@ -1,21 +1,64 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cobsim import crypto, sortition
+from cobsim import crypto, engine, sortition
 from cobsim.crypto import KeyRegistry
-from cobsim.sortition import SortitionProof, SortitionSeed
+from cobsim.engine import CobInstanceId
+from cobsim.sortition import SortitionSeed
+
+ENTROPY = b"\x07" * 32
+BITS, THETA = (0, 1), b"\x05" * 32
 
 
-def seed_for(r=0, s=0, entropy=b"\x07" * 32):
+def seed_for(r=0, s=0, entropy=ENTROPY):
     return SortitionSeed(r, s, b"ctx", entropy)
 
 
+def selected(seed, registry, tau, n) -> set[int]:
+    """The nodes that ``sortition.draw`` selects for one step."""
+    return {v for v in range(n) if sortition.draw(seed, v, registry, tau, n) is not None}
+
+
+def instance(epoch=0, slot=0) -> CobInstanceId:
+    return CobInstanceId(b"sortition-test", epoch, slot, "slot_timing")
+
+
+def final_votes(registry, inst, tau) -> list[engine.FinalVote]:
+    """A signed final vote, backing (BITS, THETA), from every selected node."""
+    seed = SortitionSeed(0, 0, inst.digest(), ENTROPY)
+    votes = []
+    for v in range(registry.num_nodes):
+        proof = sortition.draw(seed, v, registry, tau, registry.num_nodes)
+        if proof is not None:
+            body = engine.encode_final_body(inst.digest(), v, BITS, THETA, proof)
+            votes.append(engine.FinalVote(v, proof.pseudo_vrf_output, registry.sign(v, body)))
+    return votes
+
+
+def verify_reasons(registry, inst, votes, tau) -> list[str]:
+    """Why ``engine.verify_certificate`` rejects a certificate over ``votes``;
+    empty when it accepts."""
+    reasons = []
+    cert = engine.Certificate(inst, BITS, THETA, votes)
+    ok = engine.verify_certificate(cert, registry, tau, registry.num_nodes, ENTROPY, reasons)
+    assert ok == (not reasons)
+    return reasons
+
+
+def flip(data: bytes, index: int, bit: int = 0) -> bytes:
+    out = bytearray(data)
+    out[index] ^= 1 << bit
+    return bytes(out)
+
+
 def test_full_committee_selects_everyone(registry):
-    seed = seed_for()
-    for node in range(registry.num_nodes):
-        proof = sortition.draw(seed, node, registry, registry.num_nodes, registry.num_nodes)
-        assert proof is not None
-        assert sortition.verify(seed, proof, registry, registry.num_nodes, registry.num_nodes)
+    n = registry.num_nodes
+    assert selected(seed_for(), registry, n, n) == set(range(n))
+    votes = final_votes(registry, instance(), n)
+    assert [vote.node_id for vote in votes] == list(range(n))
+    assert verify_reasons(registry, instance(), votes, n) == []
 
 
 def test_zero_committee_rejected(registry):
@@ -42,55 +85,58 @@ def test_committee_size_statistics():
     sizes = []
     for t in range(trials):
         seed = SortitionSeed(t, 0, b"stats", crypto.digest(b"e", t.to_bytes(4, "big")))
-        size = len(sortition.committee(seed, registry, tau, n))
+        size = len(selected(seed, registry, tau, n))
         sizes.append(size)
         assert 50 <= size <= 160
     assert 95 <= np.mean(sizes) <= 105
 
 
 def test_verify_rejects_bit_flips(registry):
-    seed = seed_for(1, 2)
-    tau, n = registry.num_nodes, registry.num_nodes
-    proof = sortition.draw(seed, 7, registry, tau, n)
-    flipped_out = bytes([proof.pseudo_vrf_output[0] ^ 1]) + proof.pseudo_vrf_output[1:]
-    assert not sortition.verify(seed, SortitionProof(7, flipped_out, proof.signature), registry, tau, n)
-    flipped_sig = bytes([proof.signature[0] ^ 1]) + proof.signature[1:]
-    assert not sortition.verify(seed, SortitionProof(7, proof.pseudo_vrf_output, flipped_sig), registry, tau, n)
-    assert not sortition.verify(seed, SortitionProof(8, proof.pseudo_vrf_output, proof.signature), registry, tau, n)
+    # A certificate vote whose sortition output, signature or node id was
+    # altered is rejected, with a reason naming that supporter.
+    tau, inst = registry.num_nodes, instance(1, 2)
+    votes = final_votes(registry, inst, tau)
+    vote, rest = votes[7], votes[:7] + votes[8:]
+    assert verify_reasons(registry, inst, [vote] + rest, tau) == []
+    for bad, reason in [
+        (dataclasses.replace(vote, pseudo_vrf_output=flip(vote.pseudo_vrf_output, 0)),
+         "supporter 7: sortition output mismatch"),
+        (dataclasses.replace(vote, signature=flip(vote.signature, 0)),
+         "supporter 7: bad signature"),
+        (dataclasses.replace(vote, node_id=8), "supporter 8: sortition output mismatch"),
+    ]:
+        assert verify_reasons(registry, inst, [bad] + rest, tau) == [reason]
 
 
 def test_proof_not_replayable_across_steps(registry):
-    tau, n = registry.num_nodes, registry.num_nodes
-    for r in range(3):
-        for s in range(3):
-            proof = sortition.draw(seed_for(r, s), 3, registry, tau, n)
-            for r2 in range(3):
-                for s2 in range(3):
-                    ok = sortition.verify(seed_for(r2, s2), proof, registry, tau, n)
-                    assert ok == (r == r2 and s == s2)
+    # Final votes drawn and signed for one instance verify in no other.
+    tau = registry.num_nodes
+    instances = [instance(e, s) for e in range(3) for s in range(3)]
+    votes = {inst: final_votes(registry, inst, tau) for inst in instances}
+    for made_for in instances:
+        for claimed in instances:
+            reasons = verify_reasons(registry, claimed, votes[made_for], tau)
+            assert (reasons == []) == (made_for == claimed)
 
 
 def test_mutation_fuzz_soundness(registry):
     rng = np.random.default_rng(0)
-    seed = seed_for(9, 1)
-    tau, n = 30, registry.num_nodes
-    proofs = [p for p in (sortition.draw(seed, v, registry, tau, n) for v in range(n)) if p]
-    assert proofs
-    for proof in proofs:
+    tau, n, inst = 30, registry.num_nodes, instance(9, 1)
+    votes = final_votes(registry, inst, tau)
+    assert votes and verify_reasons(registry, inst, votes, tau) == []
+    for i, vote in enumerate(votes):
+        rest = votes[:i] + votes[i + 1:]
         for _ in range(10):
             which = rng.integers(0, 3)
-            out = bytearray(proof.pseudo_vrf_output)
-            sig = bytearray(proof.signature)
-            node = proof.node_id
+            out, sig, node = vote.pseudo_vrf_output, vote.signature, vote.node_id
             if which == 0:
-                out[rng.integers(0, len(out))] ^= 1 << rng.integers(0, 8)
+                out = flip(out, rng.integers(0, len(out)), rng.integers(0, 8))
             elif which == 1:
-                sig[rng.integers(0, len(sig))] ^= 1 << rng.integers(0, 8)
+                sig = flip(sig, rng.integers(0, len(sig)), rng.integers(0, 8))
             else:
                 node = (node + 1 + int(rng.integers(0, n - 1))) % n
-            mutated = SortitionProof(node, bytes(out), bytes(sig))
-            if mutated != proof:
-                assert not sortition.verify(seed, mutated, registry, tau, n)
+            mutated = engine.FinalVote(node, out, sig)
+            assert verify_reasons(registry, inst, [mutated] + rest, tau)
 
 
 def test_entropy_bit_resamples_selection():
@@ -106,8 +152,8 @@ def test_entropy_bit_resamples_selection():
         s1 = SortitionSeed(0, 0, b"x", bytes(base))
         base[0] ^= 1
         s2 = SortitionSeed(0, 0, b"x", bytes(base))
-        c1 = set(sortition.committee(s1, registry, tau, n))
-        c2 = set(sortition.committee(s2, registry, tau, n))
+        c1 = selected(s1, registry, tau, n)
+        c2 = selected(s2, registry, tau, n)
         agree += len(c1 & c2)
     # Under independence the expected per-trial overlap is n*p^2.
     expected = trials * n * p * p
@@ -123,7 +169,7 @@ def test_independence_across_nodes():
     sel = np.zeros((trials, n), dtype=bool)
     for t in range(trials):
         seed = SortitionSeed(t, 0, b"ind", crypto.digest(b"e", t.to_bytes(4, "big")))
-        for v in sortition.committee(seed, registry, tau, n):
+        for v in selected(seed, registry, tau, n):
             sel[t, v] = True
     p = tau / n
     joint = (sel[:, 0] & sel[:, 1]).mean()
