@@ -548,10 +548,13 @@ def run_chain(
     rng=None,
     setup_skew: float | None = None,
     evidence_overrides: dict[int, bytes] | None = None,
-    ns_next_rule=None,
     horizon: float = np.inf,
 ) -> ChainResult:
-    """Simulate whole epochs; raises ChainError on any uncertified slot."""
+    """Simulate whole epochs; raises ChainError on any uncertified slot.
+
+    Bootstrap clock offsets are drawn up to ``setup_skew`` (``lam_base`` when
+    None); ``committee`` seats the pre-final steps (all nodes when None).
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     committee = net.n if committee is None else committee
     genesis = crypto.digest(b"genesis", chain_id)
@@ -559,7 +562,8 @@ def run_chain(
     net.lam_block = net.lam(block_bound)
     config.validate(net.n, net.lam_block)
 
-    netsim.synchronize(net, chain_id, genesis, net.n, setup_skew or net.lam_base, rng)
+    setup_skew = net.lam_base if setup_skew is None else setup_skew
+    netsim.synchronize(net, chain_id, genesis, setup_skew, rng)
     slot_start = net.offsets.copy()
 
     prev_digest = genesis
@@ -579,9 +583,8 @@ def run_chain(
             blocks = []
             for shard, creator in sorted(creators.items()):
                 strat = net.strategy(creator)
-                release_local = strat.block_release(
-                    net, creator, slot, shard, 0.0, config.slot_duration
-                )
+                release_local = strat.block_release(net, creator, slot, shard,
+                                                    config.slot_duration)
                 if release_local is None:
                     continue
                 blk = ShardBlock(
@@ -601,7 +604,7 @@ def run_chain(
 
             # Observations at local time t, then the slot's consensus instance.
             obs_abs = slot_start + config.slot_duration
-            ns_next = config.num_shards if ns_next_rule is None else ns_next_rule(config)
+            ns_next = config.num_shards
             m = (
                 compute_nc(config.alpha, config.beta, ns_next, config.num_shards)
                 if last

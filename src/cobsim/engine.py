@@ -81,7 +81,6 @@ class CobParams:
         entropy: bytes,
         registry: KeyRegistry,
         committee: float,
-        committee_final: float | None = None,
     ):
         if m < 1:
             raise ValueError("instance needs at least one component")
@@ -91,13 +90,12 @@ class CobParams:
         self.registry = registry
         self.n = registry.num_nodes
         self.tau = committee
-        self.tau_final = self.n if committee_final is None else committee_final
         self.t_high, self.t_low = mgc.thresholds(committee)
         # Certificate quorum: floor(2n/3)+1 is reachable by the honest
         # population alone at the maximal fault count (honest >= floor(2n/3)+1
         # whenever faults < n/3) and still pigeonhole-unique: two conflicting
         # quorums would need more honest signers than exist.
-        self.t_cert = int(2 * self.tau_final) // 3 + 1
+        self.t_cert = mgc.supermajority(self.n)
         # Smallest final-vote count guaranteed to include an honest signer.
         self.t_adopt = self.n // 3 + 1
         self.digest = instance.digest()
@@ -109,19 +107,21 @@ class CobParams:
             round_id, step_id = 0, step_key[1]
         elif step_key[0] == "mbba":
             round_id, step_id = 1 + step_key[1], step_key[2]
-        elif step_key[0] == "final":
-            round_id, step_id = 0, 0
+        elif step_key == FINAL_STEP:
+            return final_seed(self.digest, self.entropy)
         else:
             raise ValueError(f"bad step key {step_key}")
         return sortition.SortitionSeed(round_id, step_id, self.digest, self.entropy)
 
-    def step_tau(self, step_key) -> float:
-        return self.tau_final if step_key[0] == "final" else self.tau
-
     def draw(self, step_key, node: int) -> sortition.SortitionProof | None:
-        return sortition.draw(
-            self.step_seed(step_key), node, self.registry, self.step_tau(step_key), self.n
-        )
+        """The node's selection proof for a step; the final step seats everyone."""
+        tau = self.n if step_key == FINAL_STEP else self.tau
+        return sortition.draw(self.step_seed(step_key), node, self.registry, tau, self.n)
+
+
+def final_seed(instance_digest: bytes, entropy: bytes) -> sortition.SortitionSeed:
+    """Sortition seed of an instance's final step."""
+    return sortition.SortitionSeed(0, 0, instance_digest, entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,8 @@ def verify_certificate(
     entropy: bytes,
     reasons: list | None = None,
 ) -> bool:
-    """Re-check a certificate from scratch: quorum size, proofs, signatures."""
+    """Re-check a certificate from scratch: quorum size, proofs, signatures.
+    The simulator's final step seats everyone: ``tau_final`` = ``population``."""
 
     def fail(reason):
         if reasons is not None:
@@ -223,10 +224,10 @@ def verify_certificate(
 
     if tau_final <= 0:
         return fail("bad final committee parameter")
-    t_cert = int(2 * tau_final) // 3 + 1
+    t_cert = mgc.supermajority(tau_final)
     seen = set()
     inst_digest = cert.instance.digest()
-    seed = sortition.SortitionSeed(0, 0, inst_digest, entropy)
+    seed = final_seed(inst_digest, entropy)
     valid = 0
     for vote in cert.supporters:
         if vote.node_id in seen:
@@ -374,9 +375,6 @@ def _final_send(state: CobNodeState) -> list[SendPlan]:
     theta_dig = output_digest(state.params.digest, state.bits, out_vals)
     state.final_payload = (bytes(int(b) for b in state.bits), theta_dig)
     proof = state.params.draw(FINAL_STEP, state.node)
-    assert proof is not None or state.params.tau_final < state.params.n
-    if proof is None:
-        return []
     return [SendPlan(FINAL_STEP, None, state.bits.copy(), None, theta_dig, proof)]
 
 

@@ -13,9 +13,12 @@ simulator evaluates all nodes at once.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+
+def supermajority(tau: float) -> int:
+    """floor(2*tau/3)+1: the smallest count exceeding 2/3 of tau seats."""
+    return int(2 * tau) // 3 + 1
 
 
 def thresholds(expected_committee: float) -> tuple[int, int]:
@@ -23,17 +26,14 @@ def thresholds(expected_committee: float) -> tuple[int, int]:
 
     The classical strict-supermajority pair: T_high = floor(2*tau/3)+1 is the
     smallest count exceeding 2/3 of the committee, and is reachable by the
-    guaranteed honest share (> 2/3) even at the maximal fault count.
-    Degenerate committees (tau <= 2) clamp so T_high stays reachable and
-    strictly above T_low.
+    guaranteed honest share (> 2/3) even at the maximal fault count.  T_high
+    never exceeds ceil(tau), so it stays reachable for every tau > 0; for
+    tau <= 2, T_low clamps to stay strictly below T_high.
     """
     if expected_committee <= 0:
         raise ValueError("committee size must be positive")
-    t_high = int(2 * expected_committee) // 3 + 1
+    t_high = supermajority(expected_committee)
     t_low = int(expected_committee) // 3 + 1
-    cap = math.ceil(expected_committee)
-    if t_high > cap:
-        t_high = max(1, cap)
     if t_low >= t_high:
         t_low = t_high - 1
     return t_high, t_low

@@ -171,9 +171,8 @@ def _expand_dense(frontier, dense_adj) -> np.ndarray:
 class Trace:
     """Append-only event log; its digest is the run's determinism witness."""
 
-    def __init__(self, record_receives: bool = False):
+    def __init__(self):
         self.records: list[tuple] = []
-        self.record_receives = record_receives
         self._h = hashlib.blake2b(digest_size=32)
 
     def add(self, t_abs, t_local, node, kind, instance, step, size_bytes, digest8, note=""):
@@ -229,9 +228,10 @@ class Strategy:
     def message_plans(self, net, node, step_key, plan: SendPlan, params):
         return [TransportPlan(plan.payload_ids, plan.bits, plan.flags, None, 0.0)]
 
-    def block_release(self, net, node, slot, shard, honest_local: float, slot_duration: float):
-        """Local-clock release time of a shard block; None withholds it."""
-        return honest_local
+    def block_release(self, net, node, slot, shard, slot_duration: float):
+        """Local-clock release time of a shard block, the slot start for an
+        honest creator; None withholds it."""
+        return 0.0
 
 
 class CrashStrategy(Strategy):
@@ -240,7 +240,7 @@ class CrashStrategy(Strategy):
     def message_plans(self, net, node, step_key, plan, params):
         return []
 
-    def block_release(self, net, node, slot, shard, honest_local, slot_duration):
+    def block_release(self, net, node, slot, shard, slot_duration):
         return None
 
 
@@ -264,8 +264,9 @@ class WithholdThenReleaseStrategy(Strategy):
     name = "withhold_then_release"
 
     def message_plans(self, net, node, step_key, plan, params):
-        lo = max(0.0, net.current_step_len - 2.0 * net.lam_small)
-        delay = float(net.adv_rng.uniform(lo, net.current_step_len))
+        step_len = step_length(net, params)
+        lo = max(0.0, step_len - 2.0 * net.lam(512))
+        delay = float(net.adv_rng.uniform(lo, step_len))
         return [TransportPlan(plan.payload_ids, plan.bits, plan.flags, None, delay)]
 
 
@@ -291,26 +292,8 @@ class LateBlockStrategy(Strategy):
         self.offset_frac = offset_frac
         self.offset_lambdas = offset_lambdas
 
-    def block_release(self, net, node, slot, shard, honest_local, slot_duration):
+    def block_release(self, net, node, slot, shard, slot_duration):
         return self.offset_frac * slot_duration + self.offset_lambdas * net.lam_block
-
-
-class ScriptedStrategy(Strategy):
-    name = "scripted"
-
-    def __init__(self, message_fn=None, block_fn=None):
-        self._message_fn = message_fn
-        self._block_fn = block_fn
-
-    def message_plans(self, net, node, step_key, plan, params):
-        if self._message_fn is None:
-            return super().message_plans(net, node, step_key, plan, params)
-        return self._message_fn(net, node, step_key, plan, params)
-
-    def block_release(self, net, node, slot, shard, honest_local, slot_duration):
-        if self._block_fn is None:
-            return honest_local
-        return self._block_fn(net, node, slot, shard, honest_local, slot_duration)
 
 
 def _junk_content(params, step_key, plan, shared: bool):
@@ -332,7 +315,6 @@ STRATEGIES = {
     "withhold_then_release": WithholdThenReleaseStrategy,
     "bit_flip_votes": BitFlipStrategy,
     "late_block": LateBlockStrategy,
-    "scripted": ScriptedStrategy,
 }
 
 _HONEST = Strategy()
@@ -470,7 +452,6 @@ class Network:
         d_max: float,
         strategies: dict[int, Strategy],
         trace: Trace,
-        compute_delta: float = 0.0,
     ):
         self.n = n
         self.byz = byz
@@ -483,7 +464,6 @@ class Network:
         self.d_max = d_max
         self.strategies = strategies
         self.trace = trace
-        self.compute_delta = compute_delta
         self.delay_seed = crypto.u64_from(crypto.digest(b"delays", seed.to_bytes(8, "big")))
         self.adv_rng = np.random.default_rng(
             crypto.u64_from(crypto.digest(b"adversary", seed.to_bytes(8, "big")))
@@ -499,9 +479,7 @@ class Network:
             scale = lam_base / (d_max * max_hops)
             self.d_max = d_max * scale
             self.d_min = min(d_min, self.d_max)
-        self.lam_small = self.lam(512)
         self.lam_block = self.lam(512)  # refined by the chain layer
-        self.current_step_len = 2.0 * self.lam_small  # refined per instance
 
     def lam(self, size_bytes: int) -> float:
         return self.lam_base + size_bytes * self.lam_per_byte
@@ -557,6 +535,13 @@ def mgc_message_size_bound(params: CobParams) -> int:
     return 32 + 4 + 1 + 2 + params.m * 66 + 100 + crypto.SIG_SIZE
 
 
+def step_length(net: Network, params: CobParams) -> float:
+    """Time between an instance's step deadlines: twice the diffusion bound
+    of its largest step message.  The runner and the adversary strategies
+    that time their sends against the deadlines both read it here."""
+    return 2.0 * net.lam(mgc_message_size_bound(params))
+
+
 @dataclass
 class InstanceResult:
     params: CobParams
@@ -578,7 +563,7 @@ class InstanceRunner:
         self.params = params
         self.pools: dict[tuple, Pool] = {}
         self.start_abs = np.asarray(start_abs, dtype=np.float64)
-        self.step_len = 2.0 * net.lam(mgc_message_size_bound(params)) + net.compute_delta
+        self.step_len = step_length(net, params)
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
 
@@ -595,7 +580,6 @@ class InstanceRunner:
     # -- sends --------------------------------------------------------------
     def dispatch(self, node: int, t_abs: float, plans: list[SendPlan]):
         net, params = self.net, self.params
-        net.current_step_len = self.step_len
         for plan in plans:
             for tp in net.strategy(node).message_plans(net, node, plan.step_key, plan, params):
                 self._emit(node, t_abs, plan, tp)
@@ -626,19 +610,10 @@ class InstanceRunner:
             row = (bytes(int(b) for b in tp.bits), plan.theta_digest, sig)
         pool = self.pool(key)
         if pool.add(node, row, delivery, digest, plan.proof.pseudo_vrf_output):
-            label = engine.step_label(key)
             net.trace.add(
                 t_abs, net.local(node, t_abs), node, "send", self.label,
-                label, size, digest[:8].hex(),
+                engine.step_label(key), size, digest[:8].hex(),
             )
-            if net.trace.record_receives:
-                for dest in range(net.n):
-                    t_d = delivery[dest]
-                    if dest != node and np.isfinite(t_d):
-                        net.trace.add(
-                            t_d, net.local(dest, t_d), dest, "recv", self.label,
-                            label, size, digest[:8].hex(),
-                        )
 
     # -- tallies --------------------------------------------------------------
     def node_tally(self, step_key, node: int) -> NodeTally:
@@ -788,17 +763,18 @@ class InstanceRunner:
         )
 
 
-def synchronize(net: Network, chain_id: bytes, entropy: bytes, committee: float,
-                initial_skew: float, rng) -> InstanceResult:
+def synchronize(net: Network, chain_id: bytes, entropy: bytes, initial_skew: float,
+                rng) -> InstanceResult:
     """Bootstrap: agree on "start"; certificate arrival resets every clock.
 
     Clocks begin with arbitrary offsets up to initial_skew (a coarse prior
     synchronization); after the reset, honest skew is bounded by the
-    diffusion spread of final votes.
+    diffusion spread of final votes.  Every step of the bootstrap instance
+    seats the whole population.
     """
     net.offsets = np.asarray(rng.uniform(0.0, initial_skew, net.n), dtype=np.float64)
     inst = engine.CobInstanceId(chain_id, 0, -1, "synchronization_setup")
-    params = CobParams(inst, 1, entropy, net.registry, committee)
+    params = CobParams(inst, 1, entropy, net.registry, net.n)
     observations = [[b"start"] for _ in range(net.n)]
     runner = InstanceRunner(net, params, observations, net.offsets.copy())
     result = runner.run()

@@ -1,14 +1,17 @@
 """Scenario configuration: the experiment vocabulary of the simulator.
 
-A scenario is a JSON document, strictly validated; every piece of
-randomness in a run flows from the single seed through named sub-streams
-(topology, byzantine set, adversary, observations), so any component can
-be varied in isolation without disturbing the others.
+A scenario is a JSON document, strictly validated: every field is checked
+against its annotation, then against its range, and a failure names the
+field.  Every piece of randomness in a run flows from the single seed
+through named sub-streams (topology, byzantine set, adversary,
+observations), so any component can be varied in isolation without
+disturbing the others.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,8 @@ TOPOLOGIES = ("complete", "ring", "watts_strogatz", "geometric")
 TOPOLOGY_PARAMS = {"complete": (), "ring": (), "watts_strogatz": ("k", "p"),
                    "geometric": ("radius",)}
 MODES = ("simulate", "chain")
+JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+              dict: "an object", list: "an array", type(None): "null"}
 
 
 @dataclass
@@ -44,10 +49,7 @@ class ScenarioConfig:
     lam_per_byte: float = 1e-4
     d_min: float = 0.02
     d_max: float = 0.1
-    compute_delta: float = 0.0
     committee: float = 40.0
-    committee_final: float | None = None  # None = full population
-    setup_committee: float | None = None  # None = full population
     initial_skew: float = 0.5
     m: int = 8
     observation_plan: list | str = "unanimous"
@@ -55,10 +57,7 @@ class ScenarioConfig:
     seed: int = 0
     horizon: float = float("inf")
     unsafe_byzantine: bool = False
-    record_receives: bool = False
     ablate_node: int | None = None
-    late_block_offset_frac: float = 1.0
-    late_block_offset_lambdas: float = -0.5
     # chain mode
     epochs: int = 1
     num_shards: int = 4
@@ -75,8 +74,10 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(fname, msg)
 
+        self._validate_types()
         req(self.mode in MODES, "mode", f"must be one of {MODES}")
         req(self.n >= 1, "n", "need at least one node")
+        req(0 <= self.seed < 2**64, "seed", "must be in [0, 2**64)")
         req(0.0 <= self.byzantine_fraction <= 1.0, "byzantine_fraction", "must be in [0, 1]")
         if self.byzantine_fraction >= 1 / 3 and not self.unsafe_byzantine:
             raise ConfigError(
@@ -92,9 +93,9 @@ class ScenarioConfig:
         req(0 <= self.d_min <= self.d_max, "d_min", "need 0 <= d_min <= d_max")
         req(self.d_max > 0, "d_max", "must be positive")
         if self.mode == "simulate":
+            req(self.adversary != "late_block", "adversary",
+                "late_block retimes shard blocks, which only chain mode has")
             req(0 < self.committee <= self.n, "committee", "must be in (0, n]")
-            if self.committee_final is not None:
-                req(0 < self.committee_final <= self.n, "committee_final", "must be in (0, n]")
             req(self.m >= 1, "m", "need at least one component")
             req(self.instances >= 1, "instances", "need at least one instance")
         req(self.initial_skew >= 0, "initial_skew", "must be non-negative")
@@ -112,11 +113,19 @@ class ScenarioConfig:
             req(self.slot_duration > 0, "slot_duration", "must be positive")
         return self
 
+    def _validate_types(self):
+        """Reject a field whose value does not match its annotation.  An int
+        field takes no bool or float; a float field takes an int."""
+        for name, hint in FIELD_TYPES.items():
+            kinds = typing.get_args(hint) or (hint,)
+            value = getattr(self, name)
+            if not any(_is_a(value, kind) for kind in kinds):
+                expected = " or ".join(JSON_TYPES[kind] for kind in kinds)
+                raise ConfigError(name, f"must be {expected}, got {value!r:.40}")
+
     def _validate_topology_params(self):
         """Reject what ``netsim.build_topology`` cannot build, naming the field."""
         params = self.topology_params
-        if not isinstance(params, dict):
-            raise ConfigError("topology_params", "must be an object")
         if self.topology == "watts_strogatz" and self.n == 2:
             # Each node needs two ring neighbours, and a second node is only one.
             raise ConfigError("topology", "watts_strogatz cannot connect 2 nodes; "
@@ -157,6 +166,17 @@ class ScenarioConfig:
         return cls.from_dict({**data, **overrides})
 
 
+FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _is_a(value, kind) -> bool:
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def _substream(seed: int, label: bytes) -> np.random.Generator:
     return np.random.default_rng(crypto.u64_from(crypto.digest(label, seed.to_bytes(8, "big", signed=False))))
 
@@ -175,18 +195,10 @@ def build_strategies(config: ScenarioConfig, byz: set[int]) -> dict[int, netsim.
     if config.adversary == "mixed":
         names = ["crash", "equivocate", "withhold_then_release", "bit_flip_votes"]
         return {
-            v: _make_strategy(names[i % len(names)], config)
+            v: netsim.STRATEGIES[names[i % len(names)]]()
             for i, v in enumerate(sorted(byz))
         }
-    return {v: _make_strategy(config.adversary, config) for v in byz}
-
-
-def _make_strategy(name: str, config: ScenarioConfig) -> netsim.Strategy:
-    if name == "late_block":
-        return netsim.LateBlockStrategy(
-            config.late_block_offset_frac, config.late_block_offset_lambdas
-        )
-    return netsim.STRATEGIES[name]()
+    return {v: netsim.STRATEGIES[config.adversary]() for v in byz}
 
 
 def build_network(config: ScenarioConfig, seed: int, byz: set[int] | None = None,
@@ -195,12 +207,11 @@ def build_network(config: ScenarioConfig, seed: int, byz: set[int] | None = None
     registry = KeyRegistry(config.n, crypto.digest(b"registry", seed.to_bytes(8, "big")))
     topo_seed = int(_substream(seed, b"topology").integers(0, 2**31 - 1))
     adj = netsim.build_topology(config.n, byz, config.topology, config.topology_params, topo_seed)
-    trace = netsim.Trace(record_receives=config.record_receives)
     return netsim.Network(
         config.n, byz, adj, registry, seed,
         config.lam_base, config.lam_per_byte, config.d_min, config.d_max,
         strategies if strategies is not None else build_strategies(config, byz),
-        trace, config.compute_delta,
+        netsim.Trace(),
     )
 
 
@@ -297,15 +308,12 @@ def run_simulate(config: ScenarioConfig, seed: int | None = None) -> SimulateRes
     chain_id = config.chain_id.encode()
     entropy = crypto.digest(b"entropy", chain_id, seed.to_bytes(8, "big"))
     rng = _substream(seed, b"clocks")
-    setup_committee = config.setup_committee or config.n
-    netsim.synchronize(net, chain_id, entropy, setup_committee, config.initial_skew, rng)
+    netsim.synchronize(net, chain_id, entropy, config.initial_skew, rng)
     observations = observation_matrix(config, seed)
     results = []
     for k in range(config.instances):
         inst = engine.CobInstanceId(chain_id, 0, k, "slot_timing")
-        params = engine.CobParams(
-            inst, config.m, entropy, net.registry, config.committee, config.committee_final
-        )
+        params = engine.CobParams(inst, config.m, entropy, net.registry, config.committee)
         runner = netsim.InstanceRunner(net, params, observations, net.offsets.copy())
         res = runner.run(config.horizon)
         results.append(res)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cobsim import chain, crypto, netsim
+from cobsim import chain, crypto, netsim, scenario
 
 from conftest import make_network
 
@@ -259,3 +259,19 @@ def test_partitioned_evidence_blanks_component_and_falls_back():
     assert last.certified.block.epoch_data is not None
     assert last.certified.block.epoch_data.parameters[0] is None  # blanked
     assert res.configs[1].num_shards == cfg.num_shards  # fallback to layout
+
+
+def test_chain_bootstrap_honours_zero_skew(monkeypatch):
+    skews = []
+    synchronize = netsim.synchronize
+
+    def spy(net, chain_id, entropy, initial_skew, rng):
+        skews.append(initial_skew)
+        return synchronize(net, chain_id, entropy, initial_skew, rng)
+
+    monkeypatch.setattr(netsim, "synchronize", spy)
+    cfg = scenario.ScenarioConfig.from_dict({
+        "mode": "chain", "n": 16, "num_shards": 1, "num_slots": 1, "initial_skew": 0, "seed": 1,
+    })
+    assert len(scenario.run_chain_scenario(cfg).blocks) == 1
+    assert skews == [0]

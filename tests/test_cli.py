@@ -203,3 +203,20 @@ def test_certified_instance_without_honest_outputs_says_so(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("run seed=167: instance 0: certified, but honest node(s) "
                    "0, 6, 12, 21, 23 hold no output\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instances", 1.5),
+    ("m", 2.5),
+    ("seed", -1),
+    ("horizon", "inf"),
+    ("n", "x"),
+    ("committee", "5"),
+    ("unsafe_byzantine", "no"),
+    ("adversary", "late_block"),  # acts on shard blocks, so chain mode only
+])
+def test_mistyped_or_misplaced_field_is_a_config_error(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, "typed.json", {**SIM, "n": 10, "committee": 10, field: value})
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: config field '{field}': ") and "Traceback" not in err

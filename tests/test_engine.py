@@ -127,14 +127,14 @@ def test_certificate_roundtrip_and_mutations():
     out = res.outputs[0]
     cert = out.certificate
     entropy = res.params.entropy
-    ok = engine.verify_certificate(cert, net.registry, res.params.tau_final, net.n, entropy)
+    ok = engine.verify_certificate(cert, net.registry, net.n, net.n, entropy)
     assert ok
 
     # each mutation of one supporter fails with its own reason
     def reasons_for(supporters):
         mutated = engine.Certificate(cert.instance, cert.bits, cert.theta_digest, supporters)
         reasons = []
-        assert not engine.verify_certificate(mutated, net.registry, res.params.tau_final,
+        assert not engine.verify_certificate(mutated, net.registry, net.n,
                                              net.n, entropy, reasons)
         return reasons
 
@@ -155,11 +155,11 @@ def test_certificate_roundtrip_and_mutations():
     # mutated bits invalidate every supporter signature
     flipped = engine.Certificate(cert.instance, tuple(1 - b for b in cert.bits),
                                  cert.theta_digest, cert.supporters)
-    assert not engine.verify_certificate(flipped, net.registry, res.params.tau_final, net.n, entropy)
+    assert not engine.verify_certificate(flipped, net.registry, net.n, net.n, entropy)
 
     # mutated digest likewise
     bad_digest = engine.Certificate(cert.instance, cert.bits, bytes(32), cert.supporters)
-    assert not engine.verify_certificate(bad_digest, net.registry, res.params.tau_final, net.n, entropy)
+    assert not engine.verify_certificate(bad_digest, net.registry, net.n, net.n, entropy)
 
 
 def test_passive_node_still_outputs():

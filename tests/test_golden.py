@@ -26,10 +26,13 @@ SCALE_N100 = {
 
 
 def corpus() -> dict[str, scenario.ScenarioConfig]:
-    """Every adversary x topology at n=25, every shipped config, two instances,
-    and two larger runs that stress the final-vote census and the hop BFS."""
+    """Every simulate-mode adversary x topology at n=25, every shipped config,
+    two instances, two larger runs that stress the final-vote census and the
+    hop BFS, and two chain runs."""
     cases = {}
     for adversary in scenario.ADVERSARIES:
+        if adversary == "late_block":
+            continue  # chain mode only
         for topology in scenario.TOPOLOGIES:
             cases[f"{adversary}/{topology}"] = scenario.ScenarioConfig.from_dict({
                 "mode": "simulate", "n": 25, "committee": 25, "m": 4,
@@ -55,6 +58,17 @@ def corpus() -> dict[str, scenario.ScenarioConfig]:
     cases["skew/n25-mixed-skew6"] = scenario.ScenarioConfig.from_dict({
         "mode": "simulate", "n": 25, "committee": 12, "m": 4, "observation_plan": "mixed",
         "adversary": "mixed", "byzantine_fraction": 0.2, "initial_skew": 6, "seed": 2,
+    })
+    # Chain mode, where late_block acts: byzantine creators release their
+    # shard blocks half a block-lambda before the slot ends.
+    cases["chain/late_block-n33-3x3"] = scenario.ScenarioConfig.from_dict({
+        "mode": "chain", "n": 33, "num_shards": 3, "num_slots": 3,
+        "adversary": "late_block", "byzantine_fraction": 0.2, "seed": 4,
+    })
+    # A sampled chain committee: 20 expected seats per step out of 33 nodes.
+    cases["chain/committee20-mixed-n33"] = scenario.ScenarioConfig.from_dict({
+        "mode": "chain", "n": 33, "num_shards": 3, "num_slots": 3, "chain_committee": 20,
+        "adversary": "mixed", "byzantine_fraction": 0.2, "seed": 4,
     })
     return cases
 

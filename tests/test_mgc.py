@@ -1,6 +1,7 @@
 """Graded-consensus step rules against independent brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_thresholds_formula():
     assert mgc.thresholds(2) == (2, 1)
     with pytest.raises(ValueError):
         mgc.thresholds(0)
+
+
+def test_thresholds_reachable_and_ordered_over_tau_grid():
+    taus = np.concatenate([np.arange(1, 4001) / 40.0, np.linspace(1e-3, 1.0, 997),
+                           np.arange(1, 2001, dtype=float)])
+    for tau in taus.tolist():
+        t_high, t_low = mgc.thresholds(tau)
+        assert t_high == mgc.supermajority(tau) <= math.ceil(tau), tau
+        assert 0 <= t_low < t_high, tau
 
 
 def test_step1_is_identity():

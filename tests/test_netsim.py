@@ -233,7 +233,7 @@ def test_crash_third_still_agrees():
 def test_synchronize_resets_and_bounds_skew():
     net = make_network(n=25, seed=6)
     rng = np.random.default_rng(0)
-    res = netsim.synchronize(net, b"c", crypto.digest(b"e"), net.n, 0.8, rng)
+    res = netsim.synchronize(net, b"c", crypto.digest(b"e"), 0.8, rng)
     assert res.certified
     skew = net.offsets.max() - net.offsets.min()
     final_size = max(
@@ -376,7 +376,7 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
             ]
             cert = res.outputs[v].certificate
             assert cert.supporters == want, v
-            assert engine.verify_certificate(cert, net.registry, params.tau_final, net.n,
+            assert engine.verify_certificate(cert, net.registry, net.n, net.n,
                                              params.entropy)
     assert 0 < late < 100
     # one certificate per output, plus each instance's canonical one
