@@ -37,6 +37,13 @@ def cmd_simulate(args) -> int:
     except (scenario.ConfigError, OSError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.runs < 1:
+        print(f"invalid --runs {args.runs}: need at least one run", file=sys.stderr)
+        return EXIT_CONFIG
+    if cfg.seed + args.runs > 2**64:
+        print(f"invalid --runs {args.runs}: run seeds {cfg.seed} + i must stay below 2**64",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     from .mbba import LivenessError
 

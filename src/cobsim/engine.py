@@ -5,6 +5,11 @@ the bit mapping, the binary-agreement loop, a signed final vote, and
 output assembly.  A node participates actively in a step only when
 sortition elects it; every node tallies passively and produces the output.
 
+A node's place is its step key (``CobNodeState.step``, advanced by
+``next_step``).  A message is one ``SendPlan`` carrying the row its step
+tallies, and a node's view at a deadline is its (m, V) tally of those
+rows: the engine encodes agreement votes as ``vote_row`` and decodes them.
+
 The certificate for an instance is a quorum of matching signed final
 votes.  Finals are cast by the whole population (the final step runs with
 expected committee = N, so every node carries a selection proof), which
@@ -128,8 +133,8 @@ def final_seed(instance_digest: bytes, entropy: bytes) -> sortition.SortitionSee
 # Wire formats.  Fixed-order field concatenation; signatures cover everything
 # up to the signature itself.
 
-def encode_mgc_message(params, step, sender, payload_ids, proof) -> bytes:
-    vec = values_mod.encode_vector([params.interner.value(v) for v in payload_ids])
+def encode_mgc_message(params, step, sender, row, proof) -> bytes:
+    vec = values_mod.encode_vector([params.interner.value(v) for v in row])
     return (
         params.digest
         + sender.to_bytes(4, "big")
@@ -140,15 +145,16 @@ def encode_mgc_message(params, step, sender, payload_ids, proof) -> bytes:
     )
 
 
-def encode_mbba_message(params, iteration, phase, sender, bits, flags, proof) -> bytes:
+def encode_mbba_message(params, iteration, phase, sender, row, proof) -> bytes:
+    """An agreement vote: the bits of its ``vote_row``, then the flags."""
     return (
         params.digest
         + sender.to_bytes(4, "big")
         + iteration.to_bytes(4, "big")
         + bytes([phase])
         + params.m.to_bytes(2, "big")
-        + bytes(int(b) for b in bits)
-        + bytes(int(f) for f in flags)
+        + (row & 1).astype(np.uint8).tobytes()
+        + (row >> 1).astype(np.uint8).tobytes()
         + proof.encode()
     )
 
@@ -185,9 +191,6 @@ class FinalVote:
     pseudo_vrf_output: bytes
     signature: bytes
 
-    def encode(self) -> bytes:
-        return self.node_id.to_bytes(4, "big") + self.pseudo_vrf_output + self.signature
-
 
 @dataclass
 class Certificate:
@@ -195,15 +198,6 @@ class Certificate:
     bits: tuple[int, ...]
     theta_digest: bytes
     supporters: list[FinalVote]
-
-    def encode(self) -> bytes:
-        body = (
-            self.instance.encode()
-            + bytes(self.bits)
-            + self.theta_digest
-            + len(self.supporters).to_bytes(2, "big")
-        )
-        return body + b"".join(s.encode() for s in sorted(self.supporters, key=lambda s: s.node_id))
 
 
 def verify_certificate(
@@ -270,31 +264,40 @@ class CobOutput:
 # ---------------------------------------------------------------------------
 # Per-node state machine.
 
-MGC1, MGC2, MGC3, MBBA, DONE = "mgc-1", "mgc-2", "mgc-3", "mbba", "done"
+
+def next_step(step_key) -> tuple:
+    """The step after ``step_key``: mgc 1 -> 2 -> 3 -> ("mbba", 0, 0), then
+    the agreement phases in order, each coin phase followed by phase 0 of
+    the next iteration.  ``_advance`` applies the iteration cap."""
+    if step_key[0] == "mgc":
+        return ("mgc", step_key[1] + 1) if step_key[1] < 3 else ("mbba", 0, 0)
+    _, iteration, phase = step_key
+    if phase == mbba.PHASE_COIN:
+        return ("mbba", iteration + 1, 0)
+    return ("mbba", iteration, phase + 1)
+
+
+VOTE_VALUES = 4  # vote-row ids: bit + 2 * flag
+
+
+def vote_row(bits, flags) -> np.ndarray:
+    """An agreement vote as one tally row: bit + 2 * flag per component."""
+    return np.asarray(bits, dtype=np.int32) + 2 * np.asarray(flags, dtype=np.int32)
 
 
 @dataclass
 class SendPlan:
-    """An outbound step message before adversarial post-processing."""
+    """One outbound message.  ``row`` is what its step tallies: value ids in
+    a graded step, ``vote_row(bits, flags)`` in an agreement phase, the bits
+    of a final (which also carries ``theta_digest``).  A strategy may mask
+    destinations (bool (n,); None reaches everyone) or add a ``delay``."""
 
     step_key: tuple
-    payload_ids: np.ndarray | None  # value ids for mgc steps
-    bits: np.ndarray | None
-    flags: np.ndarray | None
-    theta_digest: bytes | None
-    proof: sortition.SortitionProof | None = None
-
-
-@dataclass
-class NodeTally:
-    """What a node sees at a step deadline, precomputed by the transport."""
-
-    counts: np.ndarray | None = None  # (m, V) for mgc steps
-    zeros: np.ndarray | None = None  # (m,) for mbba phases
-    ones: np.ndarray | None = None
-    flagged_zeros: np.ndarray | None = None
-    flagged_ones: np.ndarray | None = None
-    coin_min_vrf: int | None = None  # min u64 among received coin-phase votes
+    row: np.ndarray
+    proof: sortition.SortitionProof
+    theta_digest: bytes | None = None
+    dest_mask: np.ndarray | None = None
+    delay: float = 0.0
 
 
 class CobNodeState:
@@ -302,33 +305,18 @@ class CobNodeState:
         self.params = params
         self.node = node
         self.observation = observation_ids
-        self.stage = MGC1
-        self.iteration = 0
-        self.phase = 0
+        self.step: tuple | None = ("mgc", 1)  # next deadline; None once done
         self.theta: np.ndarray | None = None
         self.grades: np.ndarray | None = None
         self.bits: np.ndarray | None = None
         self.decided: np.ndarray | None = None
         self.halted = False
-        self.liveness_failed = False
         self.final_payload: tuple[bytes, bytes] | None = None  # (bits bytes, theta digest)
         self.output: CobOutput | None = None
         self.decision_log: list[tuple] = []  # (iteration, phase, component, bit)
 
-    # -- helpers ----------------------------------------------------------
     def _theta_values(self) -> list[bytes | None]:
         return [self.params.interner.value(int(v)) for v in self.theta]
-
-    def current_step_key(self) -> tuple:
-        if self.stage == MGC1:
-            return ("mgc", 1)
-        if self.stage == MGC2:
-            return ("mgc", 2)
-        if self.stage == MGC3:
-            return ("mgc", 3)
-        if self.stage == MBBA:
-            return ("mbba", self.iteration, self.phase)
-        return FINAL_STEP
 
 
 def cob_start(params: CobParams, node: int, observation: list[bytes | None]) -> CobNodeState:
@@ -350,24 +338,14 @@ def initial_send(state: CobNodeState) -> list[SendPlan]:
     if proof is None:
         return []
     payload = np.array(mgc.step1_payload(list(state.observation)), dtype=np.int32)
-    return [SendPlan(("mgc", 1), payload, None, None, None, proof)]
+    return [SendPlan(("mgc", 1), payload, proof)]
 
 
 def _mbba_send(state: CobNodeState) -> list[SendPlan]:
-    key = ("mbba", state.iteration, state.phase)
-    proof = state.params.draw(key, state.node)
+    proof = state.params.draw(state.step, state.node)
     if proof is None:
         return []
-    return [
-        SendPlan(
-            key,
-            None,
-            state.bits.copy(),
-            state.decided.astype(np.int8),
-            None,
-            proof,
-        )
-    ]
+    return [SendPlan(state.step, vote_row(state.bits, state.decided), proof)]
 
 
 def _final_send(state: CobNodeState) -> list[SendPlan]:
@@ -375,92 +353,67 @@ def _final_send(state: CobNodeState) -> list[SendPlan]:
     theta_dig = output_digest(state.params.digest, state.bits, out_vals)
     state.final_payload = (bytes(int(b) for b in state.bits), theta_dig)
     proof = state.params.draw(FINAL_STEP, state.node)
-    return [SendPlan(FINAL_STEP, None, state.bits.copy(), None, theta_dig, proof)]
+    return [SendPlan(FINAL_STEP, state.bits.copy(), proof, theta_dig)]
 
 
-def on_step_deadline(state: CobNodeState, step_key: tuple, tally: NodeTally) -> list[SendPlan]:
-    """Advance the node past one step deadline.  Returns the next sends."""
-    if state.stage == DONE or state.halted:
+def on_step_deadline(
+    state: CobNodeState, step_key: tuple, counts: np.ndarray, coin_min_vrf: int | None = None
+) -> list[SendPlan]:
+    """Advance the node past one step deadline.  Returns the next sends.
+
+    ``counts`` is the node's (m, V) tally of the step's rows; in an
+    agreement phase V is ``VOTE_VALUES``.  ``coin_min_vrf`` is the minimum
+    sortition output (u64) among the coin-phase votes counted, None if
+    there were none.
+    """
+    if state.step is None or state.halted:
         return []
-    if step_key != state.current_step_key():
-        raise ValueError(f"deadline {step_key} does not match stage {state.current_step_key()}")
+    if step_key != state.step:
+        raise ValueError(f"deadline {step_key} does not match the node's step {state.step}")
 
     if step_key[0] == "mgc":
-        step = step_key[1]
-        if step in (1, 2):
-            nxt = ("mgc", step + 1)
-            state.stage = MGC2 if step == 1 else MGC3
-            proof = state.params.draw(nxt, state.node)
+        state.step = next_step(step_key)
+        if step_key[1] < 3:
+            proof = state.params.draw(state.step, state.node)
             if proof is None:
                 return []
-            payload = mgc.echo_filter(tally.counts)
-            return [SendPlan(nxt, payload.astype(np.int32), None, None, None, proof)]
+            return [SendPlan(state.step, mgc.echo_filter(counts), proof)]
         # step 3: grade and move to the agreement loop
         ranks = np.array(state.params.interner.digest_ranks(), dtype=np.int64)
-        theta, grades = mgc.finalize(tally.counts, ranks, state.params.t_high, state.params.t_low)
+        theta, grades = mgc.finalize(counts, ranks, state.params.t_high, state.params.t_low)
         state.theta = theta
         state.grades = grades
         state.bits = mbba.init_bits(grades)
         state.decided = np.zeros(state.params.m, dtype=bool)
-        state.stage = MBBA
-        state.iteration = 0
-        state.phase = 0
         return _mbba_send(state)
 
-    if step_key[0] == "mbba":
-        coin = mbba.coin_bit(tally.coin_min_vrf) if state.phase == mbba.PHASE_COIN else None
-        bits, decided, newly = mbba.phase_transition(
-            state.bits,
-            state.decided,
-            state.phase,
-            tally.zeros,
-            tally.ones,
-            tally.flagged_zeros,
-            tally.flagged_ones,
-            state.params.t_high,
-            coin,
+    _, iteration, phase = step_key
+    coin = mbba.coin_bit(coin_min_vrf) if phase == mbba.PHASE_COIN else None
+    # Column = vote_row id (bit + 2 * flag); a flagged vote also counts for its bit.
+    flagged_zeros, flagged_ones = counts[:, 2], counts[:, 3]
+    bits, decided, newly = mbba.phase_transition(
+        state.bits, state.decided, phase, counts[:, 0] + flagged_zeros,
+        counts[:, 1] + flagged_ones, flagged_zeros, flagged_ones, state.params.t_high, coin,
+    )
+    state.bits, state.decided = bits, decided
+    for comp in np.nonzero(newly)[0]:
+        state.decision_log.append((iteration, phase, int(comp), int(bits[comp])))
+    if mbba.halt_check(decided, bits) is not None:
+        return _halt_and_final(state)
+    if not _advance(state):
+        raise mbba.LivenessError(
+            f"node {state.node}: iteration cap {mbba.ITERATION_CAP} reached with "
+            f"{int((~decided).sum())} undecided components"
         )
-        state.bits, state.decided = bits, decided
-        for comp in np.nonzero(newly)[0]:
-            state.decision_log.append(
-                (state.iteration, state.phase, int(comp), int(bits[comp]))
-            )
-        if mbba.halt_check(decided, bits) is not None:
-            return _halt_and_final(state)
-        if not _advance(state):
-            state.liveness_failed = True
-            state.stage = DONE
-            raise mbba.LivenessError(
-                f"node {state.node}: iteration cap {mbba.ITERATION_CAP} reached with "
-                f"{int((~decided).sum())} undecided components"
-            )
-        return _mbba_send(state)
-
-    raise ValueError(f"unexpected step key {step_key}")
+    return _mbba_send(state)
 
 
 def _advance(state: CobNodeState) -> bool:
-    """Move to the next agreement phase: the next phase, or phase 0 of the
-    next iteration after the coin phase.  False once the iteration cap is
-    reached."""
-    if state.phase == mbba.PHASE_COIN:
-        state.iteration += 1
-        state.phase = 0
-    else:
-        state.phase += 1
-    return not _capped(state)
-
-
-def _capped(state: CobNodeState) -> bool:
-    return state.iteration >= mbba.ITERATION_CAP
-
-
-def next_deadline(state: CobNodeState) -> tuple | None:
-    """Step key of the node's next deadline, or None once it has none: the
-    node is DONE, or it is halted and its echo budget is spent."""
-    if state.stage == DONE or (state.halted and _capped(state)):
-        return None
-    return state.current_step_key()
+    """Move to the next agreement step.  At the iteration cap the node has
+    no next deadline (``step`` None) and this returns False."""
+    step = next_step(state.step)
+    state.step = step if step[1] < mbba.ITERATION_CAP else None
+    return state.step is not None
 
 
 def _halt_and_final(state: CobNodeState) -> list[SendPlan]:
@@ -499,7 +452,7 @@ def on_echo_deadline(state: CobNodeState) -> list[SendPlan] | None:
     echo budget shares the global iteration cap, after which None signals
     the node to go quiet (the instance-level liveness verdict is separate).
     """
-    if not state.halted or state.stage == DONE:
+    if not state.halted or state.step is None:
         return None
     return _mbba_send(state) if _advance(state) else None
 
@@ -526,7 +479,8 @@ def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Cert
     """Adopt a certified outcome; true iff this node can produce the output.
 
     The node's own theta must reproduce the certified digest: values travel
-    in the consensus steps, finals only pin their digest.
+    in the consensus steps, finals only pin their digest.  A node holding
+    its output is done.
     """
     if state.output is not None:
         return True
@@ -538,5 +492,5 @@ def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Cert
     state.output = CobOutput(
         state.params.instance, out_vals, tuple(int(b) for b in bits), theta_digest, cert
     )
-    state.stage = DONE
+    state.step = None
     return True

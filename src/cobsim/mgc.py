@@ -7,8 +7,9 @@ grades each component 0/1/2 against two absolute thresholds derived from
 the expected step committee size.
 
 All rule functions work on dense count arrays indexed (component, value
-id); value id 0 is the blank BOT.  They accept leading batch axes, so the
-simulator evaluates all nodes at once.
+id); value id 0 is the blank BOT.  The engine calls them once per node
+with its (m, V) tally.  They also accept leading batch axes, for a runner
+that evaluates one step for all nodes in a single call.
 """
 
 from __future__ import annotations

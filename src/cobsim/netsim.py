@@ -14,20 +14,23 @@ neighbours from CSR arrays, and a frontier whose gather would touch more
 than n * n entries by one matrix product with the adjacency matrix.
 Byzantine nodes send their own messages but relay nothing.
 
-Byzantine senders escape the envelope: a strategy may retime, withhold,
-mask destinations or fork the content of its own messages.  Honest-origin
-gossip is untouchable.
+Byzantine senders escape the envelope: a strategy turns each
+``engine.SendPlan`` of its node into the wire variants it sends, built
+with the ``SendPlan`` constructor.  A variant may carry another row (junk
+value ids, or every vote bit inverted with no flag), a destination mask
+or a delay, and an empty list withholds the message.  The honest strategy
+returns the plan itself.  Honest-origin gossip is untouchable.
 
 The event loop is one heap of per-node deadline events ordered by (time,
 node, step).  The engine owns each node's lifecycle: at a deadline the
-runner hands the node its tally (or a catch-up from the final pool), and
-after every event it asks ``engine.next_deadline`` for the node's next
-step, which it schedules with one push, or none once the node is done or
-its echo budget is spent.  Tallies for all nodes of a step are evaluated
-in one batched kernel call when the first deadline of that step fires.
-Sends happen one full step earlier, so the pool is usually complete by
-then; when the clock skew exceeds a step, a row that joins later drops
-the cached tally and the next deadline evaluates it again.
+runner hands the node its tally counts (or a catch-up from the final
+pool), and after every event it schedules the node's next step,
+``CobNodeState.step``, with one push, or none once that is None: the node
+is done or its echo budget is spent.  Tallies for all nodes of a step are
+evaluated in one batched kernel call when the first deadline of that step
+fires.  Sends happen one full step earlier, so the pool is usually
+complete by then; when the clock skew exceeds a step, a row that joins
+later drops the cached tally and the next deadline evaluates it again.
 
 Every pool stores each accepted row once.  A step pool appends payload
 and delivery rows to two growing matrices, which its tally reads sorted
@@ -52,7 +55,7 @@ import numpy as np
 from . import _kernels as kernels
 from . import crypto, engine, mbba
 from .crypto import KeyRegistry
-from .engine import CobNodeState, CobParams, NodeTally, SendPlan
+from .engine import CobNodeState, CobParams, SendPlan
 
 U64MAX = 0xFFFFFFFFFFFFFFFF
 
@@ -209,24 +212,14 @@ class Trace:
 # Adversary strategies
 
 
-@dataclass
-class TransportPlan:
-    """One wire variant of a logical send."""
-
-    payload_ids: np.ndarray | None
-    bits: np.ndarray | None
-    flags: np.ndarray | None
-    dest_mask: np.ndarray | None  # bool (n,), None = everyone
-    delay: float = 0.0
-
-
 class Strategy:
     """Byzantine behavior hooks; the base class behaves honestly."""
 
     name = "honest"
 
-    def message_plans(self, net, node, step_key, plan: SendPlan, params):
-        return [TransportPlan(plan.payload_ids, plan.bits, plan.flags, None, 0.0)]
+    def message_plans(self, net, node, plan: SendPlan, params) -> list[SendPlan]:
+        """The wire variants of one send."""
+        return [plan]
 
     def block_release(self, net, node, slot, shard, slot_duration: float):
         """Local-clock release time of a shard block, the slot start for an
@@ -237,7 +230,7 @@ class Strategy:
 class CrashStrategy(Strategy):
     name = "crash"
 
-    def message_plans(self, net, node, step_key, plan, params):
+    def message_plans(self, net, node, plan, params):
         return []
 
     def block_release(self, net, node, slot, shard, slot_duration):
@@ -249,12 +242,12 @@ class EquivocateStrategy(Strategy):
 
     name = "equivocate"
 
-    def message_plans(self, net, node, step_key, plan, params):
+    def message_plans(self, net, node, plan, params):
         mask = net.adv_rng.random(net.n) < 0.5
-        junk_payload, junk_bits, junk_flags = _junk_content(params, step_key, plan, shared=False)
+        junk = _junk_row(params, plan, shared=False)
         return [
-            TransportPlan(plan.payload_ids, plan.bits, plan.flags, mask, 0.0),
-            TransportPlan(junk_payload, junk_bits, junk_flags, ~mask, 0.0),
+            SendPlan(plan.step_key, plan.row, plan.proof, plan.theta_digest, mask),
+            SendPlan(plan.step_key, junk, plan.proof, plan.theta_digest, ~mask),
         ]
 
 
@@ -263,11 +256,11 @@ class WithholdThenReleaseStrategy(Strategy):
 
     name = "withhold_then_release"
 
-    def message_plans(self, net, node, step_key, plan, params):
+    def message_plans(self, net, node, plan, params):
         step_len = step_length(net, params)
         lo = max(0.0, step_len - 2.0 * net.lam(512))
         delay = float(net.adv_rng.uniform(lo, step_len))
-        return [TransportPlan(plan.payload_ids, plan.bits, plan.flags, None, delay)]
+        return [SendPlan(plan.step_key, plan.row, plan.proof, plan.theta_digest, None, delay)]
 
 
 class BitFlipStrategy(Strategy):
@@ -275,9 +268,9 @@ class BitFlipStrategy(Strategy):
 
     name = "bit_flip_votes"
 
-    def message_plans(self, net, node, step_key, plan, params):
-        junk_payload, junk_bits, junk_flags = _junk_content(params, step_key, plan, shared=True)
-        return [TransportPlan(junk_payload, junk_bits, junk_flags, None, 0.0)]
+    def message_plans(self, net, node, plan, params):
+        junk = _junk_row(params, plan, shared=True)
+        return [SendPlan(plan.step_key, junk, plan.proof, plan.theta_digest)]
 
 
 class LateBlockStrategy(Strategy):
@@ -296,16 +289,16 @@ class LateBlockStrategy(Strategy):
         return self.offset_frac * slot_duration + self.offset_lambdas * net.lam_block
 
 
-def _junk_content(params, step_key, plan, shared: bool):
-    """Replacement content for adversarial variants of one step message."""
-    if plan.payload_ids is not None:
+def _junk_row(params, plan: SendPlan, shared: bool) -> np.ndarray:
+    """Replacement row for an adversarial variant of one message: one junk
+    value id everywhere in a graded step, else every bit inverted with no
+    flag."""
+    if plan.step_key[0] == "mgc":
         tag = b"flip" if shared else b"equiv"
-        junk_bytes = crypto.digest(params.digest, tag, repr(step_key).encode())[:8]
+        junk_bytes = crypto.digest(params.digest, tag, repr(plan.step_key).encode())[:8]
         vid = params.interner.intern(junk_bytes)
-        return np.full(params.m, vid, dtype=np.int32), None, None
-    flipped = (1 - np.asarray(plan.bits)).astype(np.int8)
-    flags = np.zeros(params.m, dtype=np.int8) if plan.flags is not None else None
-    return None, flipped, flags
+        return np.full(params.m, vid, dtype=np.int32)
+    return 1 - (plan.row & 1)
 
 
 STRATEGIES = {
@@ -580,34 +573,28 @@ class InstanceRunner:
     # -- sends --------------------------------------------------------------
     def dispatch(self, node: int, t_abs: float, plans: list[SendPlan]):
         net, params = self.net, self.params
+        strategy = net.strategy(node)
         for plan in plans:
-            for tp in net.strategy(node).message_plans(net, node, plan.step_key, plan, params):
-                self._emit(node, t_abs, plan, tp)
+            for sent in strategy.message_plans(net, node, plan, params):
+                self._emit(node, t_abs, sent)
 
-    def _emit(self, node: int, t_abs: float, plan: SendPlan, tp: TransportPlan):
+    def _emit(self, node: int, t_abs: float, plan: SendPlan):
         params, net = self.params, self.net
-        key = plan.step_key
+        key, row = plan.step_key, plan.row
         if key[0] == "mgc":
-            encoded = engine.encode_mgc_message(params, key[1], node, tp.payload_ids, plan.proof)
-            row = np.asarray(tp.payload_ids, dtype=np.int32)
+            encoded = engine.encode_mgc_message(params, key[1], node, row, plan.proof)
         elif key[0] == "mbba":
-            encoded = engine.encode_mbba_message(
-                params, key[1], key[2], node, tp.bits, tp.flags, plan.proof
-            )
-            row = (
-                np.asarray(tp.bits, dtype=np.int32) + 2 * np.asarray(tp.flags, dtype=np.int32)
-            )
+            encoded = engine.encode_mbba_message(params, key[1], key[2], node, row, plan.proof)
         else:
             encoded = engine.encode_final_body(
-                params.digest, node, tp.bits, plan.theta_digest, plan.proof
+                params.digest, node, row, plan.theta_digest, plan.proof
             )
-            row = None
         sig = net.registry.sign(node, encoded)
         digest = crypto.digest(encoded, sig)
         size = len(encoded) + len(sig)
-        delivery = net.deliver(node, t_abs, size, digest, tp.dest_mask, tp.delay)
+        delivery = net.deliver(node, t_abs, size, digest, plan.dest_mask, plan.delay)
         if key[0] == "final":
-            row = (bytes(int(b) for b in tp.bits), plan.theta_digest, sig)
+            row = (bytes(int(b) for b in row), plan.theta_digest, sig)
         pool = self.pool(key)
         if pool.add(node, row, delivery, digest, plan.proof.pseudo_vrf_output):
             net.trace.add(
@@ -616,25 +603,21 @@ class InstanceRunner:
             )
 
     # -- tallies --------------------------------------------------------------
-    def node_tally(self, step_key, node: int) -> NodeTally:
-        params = self.params
+    def node_tally(self, step_key, node: int) -> tuple[np.ndarray, int | None]:
+        """(counts, coin): the node's (m, V) tally of the step's rows at its
+        deadline and, in a coin phase, the minimum sortition output among
+        the votes counted (None if none was, and outside coin phases)."""
         pool = self.pool(step_key)
         deadlines = self.deadlines_for(step_key)
         if step_key[0] == "mgc":
-            counts = pool.tally(deadlines, len(params.interner))
-            return NodeTally(counts=counts[node])
-        counts = pool.tally(deadlines, 4)
-        c = counts[node]
-        tally = NodeTally(
-            zeros=c[:, 0] + c[:, 2],
-            ones=c[:, 1] + c[:, 3],
-            flagged_zeros=c[:, 2],
-            flagged_ones=c[:, 3],
-        )
+            return pool.tally(deadlines, len(self.params.interner))[node], None
+        counts = pool.tally(deadlines, engine.VOTE_VALUES)[node]
+        coin = None
         if step_key[2] == mbba.PHASE_COIN:
             mins, present = pool.min_vrf(deadlines)
-            tally.coin_min_vrf = int(mins[node]) if present[node] else None
-        return tally
+            if present[node]:
+                coin = int(mins[node])
+        return counts, coin
 
     def _maybe_adopt_from_finals(self, node: int, t_abs: float):
         """Straggler catch-up from the accumulating final pool.
@@ -685,12 +668,11 @@ class InstanceRunner:
             if key == ("start",):
                 net.trace.add(t, net.local(v, t), v, "timeout", self.label, "start", 0, "")
                 self.dispatch(v, t, engine.initial_send(state))
-            elif state.stage != engine.DONE:
+            else:
                 self.dispatch(v, t, self._on_deadline(v, t, key, liveness))
-            nxt = engine.next_deadline(state)
-            if nxt is not None:
-                t_next = self.start_abs[v] + engine.step_index(nxt) * self.step_len
-                heapq.heappush(heap, (float(t_next), v, nxt))
+            if state.step is not None:
+                t_next = self.start_abs[v] + engine.step_index(state.step) * self.step_len
+                heapq.heappush(heap, (float(t_next), v, state.step))
         return self._finish(liveness)
 
     def _on_deadline(self, v: int, t: float, key, liveness: list[int]) -> list[SendPlan]:
@@ -705,13 +687,13 @@ class InstanceRunner:
             # Decided bits keep being echoed with final flags until the
             # node holds a certificate, so stragglers can catch up.
             return engine.on_echo_deadline(state) or []
-        tally = self.node_tally(key, v)
-        if key[0] == "mbba" and key[2] == mbba.PHASE_COIN and tally.coin_min_vrf is None:
+        counts, coin = self.node_tally(key, v)
+        if key[0] == "mbba" and key[2] == mbba.PHASE_COIN and coin is None:
             net.trace.add(t, net.local(v, t), v, "note", self.label,
                           engine.step_label(key), 0, "", "empty coin phase")
         decisions_before = len(state.decision_log)
         try:
-            plans = engine.on_step_deadline(state, key, tally)
+            plans = engine.on_step_deadline(state, key, counts, coin)
         except mbba.LivenessError as exc:
             liveness.append(v)
             net.trace.add(t, net.local(v, t), v, "liveness-failure", self.label,

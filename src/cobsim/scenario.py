@@ -19,6 +19,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import crypto, engine, netsim
 from .crypto import KeyRegistry
+from .values import MAX_VALUE_BYTES
 
 
 class ConfigError(ValueError):
@@ -33,6 +34,8 @@ TOPOLOGIES = ("complete", "ring", "watts_strogatz", "geometric")
 TOPOLOGY_PARAMS = {"complete": (), "ring": (), "watts_strogatz": ("k", "p"),
                    "geometric": ("radius",)}
 MODES = ("simulate", "chain")
+# Observation plan entry kinds, each with the keys it reads besides "kind".
+PLAN_KINDS = {"unanimous": ("value",), "bot": (), "split": ("values",), "random": ("alphabet",)}
 JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
               dict: "an object", list: "an array", type(None): "null"}
 
@@ -98,6 +101,7 @@ class ScenarioConfig:
             req(0 < self.committee <= self.n, "committee", "must be in (0, n]")
             req(self.m >= 1, "m", "need at least one component")
             req(self.instances >= 1, "instances", "need at least one instance")
+            self._validate_observation_plan()
         req(self.initial_skew >= 0, "initial_skew", "must be non-negative")
         if self.ablate_node is not None:
             req(0 <= self.ablate_node < self.n, "ablate_node", "must be a node id")
@@ -143,6 +147,49 @@ class ScenarioConfig:
                 raise ConfigError(fname, "must be a probability in [0, 1]")
             if key == "radius" and not (number and value >= 0.0):
                 raise ConfigError(fname, "must be a non-negative number (0 picks the default)")
+
+    def _validate_observation_plan(self):
+        """Reject a plan that ``observation_matrix`` cannot expand, naming the
+        component."""
+        plan = self.observation_plan
+
+        def fail(msg):
+            raise ConfigError("observation_plan", msg)
+
+        def check_value(value, i):
+            try:
+                size = len(bytes.fromhex(value))
+            except (TypeError, ValueError):
+                fail(f"component {i}: value {value!r:.40} is not a hex string")
+            if size > MAX_VALUE_BYTES:
+                fail(f"component {i}: value has {size} bytes, at most {MAX_VALUE_BYTES}")
+
+        if isinstance(plan, str):
+            if plan != "mixed" and plan not in PLAN_KINDS:
+                fail(f"must be mixed, one of {tuple(PLAN_KINDS)} or a list, got {plan!r:.40}")
+            return
+        if len(plan) != self.m:
+            fail(f"expected {self.m} entries, one per component, got {len(plan)}")
+        for i, entry in enumerate(plan):
+            if not isinstance(entry, dict):
+                fail(f"component {i}: entry must be an object, got {entry!r:.40}")
+            kind = entry.get("kind", "unanimous")
+            if not (isinstance(kind, str) and kind in PLAN_KINDS):
+                fail(f"component {i}: unknown kind {kind!r:.40}, not in {tuple(PLAN_KINDS)}")
+            for key in sorted(entry.keys() - {"kind", *PLAN_KINDS[kind]}):
+                fail(f"component {i}: key {key!r:.40} is unknown for kind {kind}")
+            if "value" in entry:
+                check_value(entry["value"], i)
+            values = entry.get("values", [])
+            if not isinstance(values, list):
+                fail(f"component {i}: values must be an array of hex strings or null")
+            for value in values:
+                if value is not None:
+                    check_value(value, i)
+            alphabet = entry.get("alphabet", 3)
+            if not (_is_a(alphabet, int) and 1 <= alphabet < 2**32):
+                fail(f"component {i}: alphabet must be an integer in [1, 2**32), "
+                     f"got {alphabet!r:.40}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -229,13 +276,12 @@ def _expand_plan(plan, m: int) -> list[dict]:
                 for i in range(m)
             ]
         return [{"kind": plan}] * m
-    if len(plan) != m:
-        raise ConfigError("observation_plan", f"expected {m} entries, got {len(plan)}")
-    return list(plan)
+    return plan
 
 
 def observation_matrix(config: ScenarioConfig, seed: int) -> list[list[bytes | None]]:
-    """Per-node observation vectors from the scenario's observation plan."""
+    """Per-node observation vectors from the scenario's observation plan,
+    which ``ScenarioConfig.validate`` checked."""
     rng = _substream(seed, b"observations")
     plan = _expand_plan(config.observation_plan, config.m)
     columns = []
@@ -254,13 +300,11 @@ def observation_matrix(config: ScenarioConfig, seed: int) -> list[list[bytes | N
                 crypto.digest(b"obsB", i.to_bytes(4, "big"))[:8],
             ]
             col = [vals[rng.integers(0, len(vals))] for _ in range(config.n)]
-        elif kind == "random":
-            width = int(entry.get("alphabet", 3))
+        else:  # random
+            width = entry.get("alphabet", 3)
             vals = [crypto.digest(b"obsR", i.to_bytes(4, "big"), k.to_bytes(4, "big"))[:8]
                     for k in range(width)]
             col = [vals[rng.integers(0, width)] for _ in range(config.n)]
-        else:
-            raise ConfigError("observation_plan", f"unknown kind {kind!r} at component {i}")
         columns.append(col)
     return [[columns[i][v] for i in range(config.m)] for v in range(config.n)]
 

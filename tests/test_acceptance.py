@@ -201,11 +201,11 @@ def test_criterion_4_time_slot_soundness():
 class ClaimLateStrategy(netsim.Strategy):
     """Honest votes, except a blank step-1 vector: claims every block was late."""
 
-    def message_plans(self, net, node, step_key, plan, params):
-        if step_key == ("mgc", 1):
+    def message_plans(self, net, node, plan, params):
+        if plan.step_key == ("mgc", 1):
             blank = np.zeros(params.m, dtype=np.int32)
-            return [netsim.TransportPlan(blank, None, None, None, 0.0)]
-        return super().message_plans(net, node, step_key, plan, params)
+            return [engine.SendPlan(plan.step_key, blank, plan.proof)]
+        return super().message_plans(net, node, plan, params)
 
 
 def test_criterion_5_late_claim_attack_resistance():

@@ -220,3 +220,52 @@ def test_mistyped_or_misplaced_field_is_a_config_error(tmp_path, capsys, field, 
     assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"invalid config: config field '{field}': ") and "Traceback" not in err
+
+
+PLAN_DEFAULT = {"kind": "unanimous"}
+
+
+@pytest.mark.parametrize("plan, component", [
+    ([1, 2], 0),
+    ("bogus", None),
+    ([{"kind": "bogus"}, PLAN_DEFAULT], 0),
+    ([{"kind": ["split"]}, PLAN_DEFAULT], 0),
+    ([PLAN_DEFAULT], None),  # m=2 needs two entries
+    ([PLAN_DEFAULT, {"kind": "unanimous", "value": "zz"}], 1),
+    ([PLAN_DEFAULT, {"kind": "unanimous", "value": "ab" * 65}], 1),
+    ([PLAN_DEFAULT, {"kind": "random", "alphabet": 0}], 1),
+    ([PLAN_DEFAULT, {"kind": "split", "values": ["zz"]}], 1),
+    ([PLAN_DEFAULT, {"kind": "bot", "value": "ab"}], 1),
+])
+def test_bad_observation_plan_is_a_config_error(tmp_path, capsys, plan, component):
+    path = write_config(tmp_path, "plan.json",
+                        {**SIM, "n": 10, "committee": 10, "m": 2, "observation_plan": plan})
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: config field 'observation_plan': ")
+    assert "Traceback" not in err
+    if component is not None:
+        assert f"component {component}:" in err
+
+
+def test_explicit_observation_plan_runs(tmp_path, capsys):
+    plan = [{"kind": "unanimous", "value": "ab" * 64}, {"kind": "split", "values": ["01", None]}]
+    path = write_config(tmp_path, "plan.json",
+                        {**SIM, "n": 10, "committee": 10, "m": 2, "observation_plan": plan})
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("seed, runs, code", [
+    (4, 0, cli.EXIT_CONFIG),
+    (4, -1, cli.EXIT_CONFIG),
+    (2**64 - 1, 2, cli.EXIT_CONFIG),
+    (2**64 - 2, 2, cli.EXIT_OK),  # the last two seeds
+])
+def test_runs_are_bounded(tmp_path, capsys, seed, runs, code):
+    path = write_config(tmp_path, "runs.json", {**SIM, "n": 10, "committee": 10, "seed": seed})
+    assert cli.main(["simulate", "--config", path, "--runs", str(runs)]) == code
+    out = capsys.readouterr()
+    if code == cli.EXIT_CONFIG:
+        assert out.err.startswith(f"invalid --runs {runs}: ") and "Traceback" not in out.err
+    else:
+        assert out.out.count("certified") == runs

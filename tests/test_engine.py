@@ -31,11 +31,17 @@ def graded_node(m=2, n=1, tag=b"lifecycle"):
     state = engine.cob_start(params, 0, [bytes([65 + c]) for c in range(m)])
     payload = state.observation
     for step in (1, 2, 3):
-        sends = engine.on_step_deadline(
-            state, ("mgc", step), engine.NodeTally(counts=counts_for(params, payload)))
-        payload = sends[0].payload_ids if step < 3 else None
-    assert state.stage == engine.MBBA and state.current_step_key() == ("mbba", 0, 0)
+        sends = engine.on_step_deadline(state, ("mgc", step), counts_for(params, payload))
+        payload = sends[0].row if step < 3 else None
+    assert state.step == ("mbba", 0, 0)
     return state
+
+
+def vote_counts(zeros, ones):
+    """(m, VOTE_VALUES) agreement tally of unflagged votes per bit."""
+    counts = np.zeros((len(zeros), engine.VOTE_VALUES), dtype=np.int32)
+    counts[:, 0], counts[:, 1] = zeros, ones
+    return counts
 
 
 def certified_digest(state):
@@ -65,7 +71,7 @@ def test_instance_id_purposes():
 def test_cob_start_accepts_matching_length():
     params = make_params(m=3)
     state = engine.cob_start(params, 0, [b"a", None, b"c"])
-    assert state.current_step_key() == ("mgc", 1)
+    assert state.step == ("mgc", 1)
 
 
 def test_cob_start_rejects_length_mismatch():
@@ -188,86 +194,125 @@ def test_single_node_lifecycle_contract():
     state = engine.cob_start(params, 0, [b"x", b"y"])
     sends = engine.initial_send(state)
     assert sends and sends[0].step_key == ("mgc", 1)
-    assert engine.next_deadline(state) == ("mgc", 1)
+    assert state.step == ("mgc", 1)
     own = np.array(params.interner.intern_vector([b"x", b"y"]), dtype=np.int32)
 
     with pytest.raises(ValueError):
-        engine.on_step_deadline(state, ("mgc", 2), engine.NodeTally(counts=counts_for(params, own)))
-    sends = engine.on_step_deadline(state, ("mgc", 1),
-                                    engine.NodeTally(counts=counts_for(params, own)))
+        engine.on_step_deadline(state, ("mgc", 2), counts_for(params, own))
+    sends = engine.on_step_deadline(state, ("mgc", 1), counts_for(params, own))
     assert sends[0].step_key == ("mgc", 2) and state.output is None
     for step in (2, 3):
-        sends = engine.on_step_deadline(
-            state, ("mgc", step), engine.NodeTally(counts=counts_for(params, sends[0].payload_ids)))
+        sends = engine.on_step_deadline(state, ("mgc", step), counts_for(params, sends[0].row))
     assert state.grades.tolist() == [2, 2]
     assert state.bits.tolist() == [0, 0]
-    assert engine.next_deadline(state) == ("mbba", 0, 0)
+    assert state.step == ("mbba", 0, 0)
+    assert sends[0].row.tolist() == [0, 0]  # bit 0, no flag
     # phase 0 with its own zero-vote reaches the degenerate quorum of one
-    tally = engine.NodeTally(zeros=np.array([1, 1]), ones=np.zeros(2, int),
-                             flagged_zeros=np.zeros(2, int), flagged_ones=np.zeros(2, int))
-    sends = engine.on_step_deadline(state, ("mbba", 0, 0), tally)
+    sends = engine.on_step_deadline(state, ("mbba", 0, 0), vote_counts([1, 1], [0, 0]))
     assert state.halted
     assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
+    assert sends[0].row.tolist() == [0, 0]  # the final carries the bits alone
     # halted, the node echoes its decided bits with final flags
-    assert engine.next_deadline(state) == ("mbba", 0, 1)
+    assert state.step == ("mbba", 0, 1)
     sends = engine.on_echo_deadline(state)
     assert [p.step_key for p in sends] == [("mbba", 0, 2)]
-    assert sends[0].flags.tolist() == [1, 1]
+    assert sends[0].row.tolist() == engine.vote_row([0, 0], [1, 1]).tolist() == [2, 2]
+
+
+def test_vote_rows_decode_as_bits_and_flags():
+    # One vote, flagged 1 on component 0 and unflagged 1 on component 1, at
+    # a quorum of one: the flag decides component 0, while component 1 only
+    # moves to bit 1 in the fix-0 phase.
+    state = graded_node(m=2, n=1, tag=b"decode")
+    row = engine.vote_row([1, 1], [1, 0])
+    counts = np.zeros((2, engine.VOTE_VALUES), dtype=np.int32)
+    counts[np.arange(2), row] = 1
+    engine.on_step_deadline(state, ("mbba", 0, 0), counts)
+    assert state.bits.tolist() == [1, 1]
+    assert state.decided.tolist() == [True, False]
+    assert state.decision_log == [(0, 0, 0, 1)]
 
 
 def test_iteration_cap_aborts_with_liveness_error():
     # adversarial schedule: quorums never form, the loop must abort loudly
     # at the cap instead of silently defaulting
     state = graded_node(m=1, n=9, tag=b"cap")
-    starved = engine.NodeTally(zeros=np.array([1]), ones=np.array([1]),
-                               flagged_zeros=np.array([0]), flagged_ones=np.array([0]),
-                               coin_min_vrf=2)
+    starved = vote_counts([1], [1])
     with pytest.raises(mbba.LivenessError) as err:
         for _ in range(3 * mbba.ITERATION_CAP + 3):
-            engine.on_step_deadline(state, state.current_step_key(), starved)
+            engine.on_step_deadline(state, state.step, starved, 2)
     assert "iteration cap" in str(err.value)
-    assert state.liveness_failed
-    assert state.stage == engine.DONE and engine.next_deadline(state) is None
+    assert state.step is None and state.output is None
+
+
+def test_next_step_walks_every_deadline_once():
+    # From step 1 to the iteration cap: one deadline per step length, and
+    # every step has its own label and its own sortition seed.
+    params = make_params(m=1)
+    keys = [("mgc", 1)]
+    while keys[-1][0] == "mgc" or keys[-1][1] < mbba.ITERATION_CAP:
+        keys.append(engine.next_step(keys[-1]))
+    keys.pop()  # the first key past the cap
+    assert keys[:5] == [("mgc", 1), ("mgc", 2), ("mgc", 3), ("mbba", 0, 0), ("mbba", 0, 1)]
+    assert keys[-1] == ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
+    indices = [engine.step_index(key) for key in keys]
+    assert indices == list(range(1, len(keys) + 1))
+    assert len({engine.step_label(key) for key in keys + [engine.FINAL_STEP]}) == len(keys) + 1
+    seeds = {params.step_seed(key).encode() for key in keys + [engine.FINAL_STEP]}
+    assert len(seeds) == len(keys) + 1
 
 
 @pytest.mark.parametrize("phase", [0, 1, mbba.PHASE_COIN])
 def test_advance_moves_one_phase(phase):
     state = graded_node()
-    state.iteration, state.phase = 3, phase
+    state.step = ("mbba", 3, phase)
     assert engine._advance(state)
-    want = (4, 0) if phase == mbba.PHASE_COIN else (3, phase + 1)
-    assert (state.iteration, state.phase) == want
+    assert state.step == (("mbba", 4, 0) if phase == mbba.PHASE_COIN else ("mbba", 3, phase + 1))
 
 
 def test_advance_stops_at_the_iteration_cap():
     state = graded_node()
     last = mbba.ITERATION_CAP - 1
-    state.iteration, state.phase = last, mbba.PHASE_COIN - 1
+    state.step = ("mbba", last, mbba.PHASE_COIN - 1)
     assert engine._advance(state)
-    assert (state.iteration, state.phase) == (last, mbba.PHASE_COIN)
+    assert state.step == ("mbba", last, mbba.PHASE_COIN)
     assert not engine._advance(state)
-    assert (state.iteration, state.phase) == (mbba.ITERATION_CAP, 0)
+    assert state.step is None
 
 
 def test_next_deadline_and_echo_budget():
     state = graded_node()
-    assert engine.next_deadline(state) == ("mbba", 0, 0)
     sends = engine.adopt_decided_bits(state, bytes([0, 0]))
     assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
-    assert state.halted and engine.next_deadline(state) == ("mbba", 0, 1)
+    assert state.halted and state.step == ("mbba", 0, 1)
     # the last echo of the budget, then the node goes quiet
-    state.iteration, state.phase = mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1
+    state.step = ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1)
     assert [p.step_key for p in engine.on_echo_deadline(state)] == [
         ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)]
-    assert engine.next_deadline(state) is not None
+    assert state.step is not None
     assert engine.on_echo_deadline(state) is None
-    assert state.halted and engine.next_deadline(state) is None
+    assert state.halted and state.step is None
     # halting in the last coin phase leaves no echo at all
     state = graded_node()
-    state.iteration, state.phase = mbba.ITERATION_CAP - 1, mbba.PHASE_COIN
+    state.step = ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
     assert [p.step_key for p in engine.adopt_decided_bits(state, bytes([0, 0]))] == [
         engine.FINAL_STEP]
-    assert engine.next_deadline(state) is None
+    assert state.step is None
+
+
+def test_mbba_wire_format_is_bits_then_flags():
+    params = make_params(m=7)
+    proof = params.draw(("mbba", 5, 2), 3)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        bits = rng.integers(0, 2, params.m)
+        flags = rng.integers(0, 2, params.m)
+        encoded = engine.encode_mbba_message(params, 5, 2, 3, engine.vote_row(bits, flags), proof)
+        assert encoded == (
+            params.digest + (3).to_bytes(4, "big") + (5).to_bytes(4, "big") + bytes([2])
+            + params.m.to_bytes(2, "big") + bytes(bits.tolist()) + bytes(flags.tolist())
+            + proof.encode()
+        )
 
 
 def test_straggler_adopting_an_output_casts_one_final():
@@ -281,9 +326,8 @@ def test_straggler_adopting_an_output_casts_one_final():
     assert [p.step_key for p in sends] == [engine.FINAL_STEP]
     assert sends[0].theta_digest == digest
     assert state.final_payload == (bits_bytes, digest)
-    assert state.halted and state.stage == engine.DONE
+    assert state.halted and state.step is None
     assert state.output.certificate is cert
-    assert engine.next_deadline(state) is None
     assert engine.on_echo_deadline(state) is None
     # holding its output and its own final, the node sends nothing more
     assert engine.adopt_output(state, bits_bytes, digest, cert) == []

@@ -191,6 +191,30 @@ def test_relay_closure_bounds_byzantine_masking():
     assert (row[net.honest_mask] <= row[3] + net.lam(100) + 1e-12).all()
 
 
+def test_adversarial_variants_of_a_vote():
+    # An equivocator sends its vote to a random half and, to the other
+    # half, a junk row with every bit inverted and no flag; a bit flipper
+    # sends the junk row to everyone.  The proof and step travel unchanged.
+    net = make_network(n=12, byz={4}, seed=3)
+    params = engine.CobParams(engine.CobInstanceId(b"c", 0, 0, "slot_timing"), 6,
+                              crypto.digest(b"junk"), net.registry, net.n)
+    key = ("mbba", 2, 1)
+    bits, flags = np.array([0, 1, 1, 0, 1, 0]), np.array([1, 1, 0, 0, 0, 1])
+    plan = engine.SendPlan(key, engine.vote_row(bits, flags), params.draw(key, 4))
+    inverted = (1 - bits).tolist()
+
+    vote, junk = netsim.EquivocateStrategy().message_plans(net, 4, plan, params)
+    assert vote.row is plan.row
+    assert (junk.row & 1).tolist() == inverted and (junk.row >> 1).tolist() == [0] * 6
+    assert np.array_equal(vote.dest_mask, ~junk.dest_mask)
+    for sent in (vote, junk):
+        assert (sent.step_key, sent.proof, sent.delay) == (key, plan.proof, 0.0)
+
+    (flipped,) = netsim.BitFlipStrategy().message_plans(net, 4, plan, params)
+    assert flipped.row.tolist() == inverted and flipped.dest_mask is None
+    assert netsim.Strategy().message_plans(net, 4, plan, params) == [plan]
+
+
 def test_same_seed_same_trace_digest():
     cfg = scenario.ScenarioConfig.from_dict({
         "mode": "simulate", "n": 30, "byzantine_fraction": 0.2, "adversary": "equivocate",
@@ -322,7 +346,7 @@ def test_straggler_adopting_an_output_sends_one_final(monkeypatch):
         assert [p.step_key for p in plans] == [engine.FINAL_STEP]
         finals = rows[runner.pools[engine.FINAL_STEP]]
         assert [sender for sender, *_ in finals].count(v) == 1
-        assert state.halted and state.stage == engine.DONE and state.output is not None
+        assert state.halted and state.step is None and state.output is not None
 
 
 def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
