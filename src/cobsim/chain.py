@@ -6,7 +6,11 @@ when a node's private clock reads the slot duration it freezes what it saw
 over those observations.  The certified outcome becomes the next
 synchronization block: it hash-links the timely shard blocks, carries the
 next epoch's parameters in the last slot of an epoch, and its certificate
-is the rollover signal that resets every clock.
+is the rollover signal: the instance runner re-zeros every node's clock at
+its certificate assembly time.  A block is due 2*lambda(block)
+(``block_lambda``) before its slot ends, and the last slot agrees on
+Nc = alpha + beta*Ns' + Ns components: the next epoch's parameters
+(``EpochConfig.vector``), then the shard digests.
 
 Blank components never stall the chain: the merge policy substitutes the
 previous epoch's value (round-robin creators for blank assignment slots)
@@ -22,17 +26,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crypto, engine, netsim
+from . import crypto, engine, mbba, netsim
+from . import values as values_mod
 from .engine import CobParams
 
 
-def compute_nc(alpha: int, beta: int, ns_next: int, ns_cur: int) -> int:
+def compute_nc(alpha: int, beta: int, ns_new: int, ns_cur: int) -> int:
     """Component count of a last-slot instance: alpha + beta*Ns' + Ns."""
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    if ns_next < 0 or ns_cur < 0:
+    if ns_new < 0 or ns_cur < 0:
         raise ValueError("shard counts must be non-negative")
-    return alpha + beta * ns_next + ns_cur
+    return alpha + beta * ns_new + ns_cur
+
+
+def block_lambda(lam_base: float, lam_per_byte: float, block_size: int) -> float:
+    """lambda(block) of a signed shard block with a ``block_size``-byte payload."""
+    return netsim.diffusion_bound(lam_base, lam_per_byte,
+                                  32 + 4 + 1 + 2 + 100 + 64 + block_size + 64)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +65,13 @@ class EpochConfig:
         return len(self.general_params)
 
     @property
+    def extra(self) -> int:
+        """Extra parameters per shard, beyond its creators."""
+        return len(next(iter(self.shard_params.values())))
+
+    @property
     def beta(self) -> int:
-        return self.num_slots + len(next(iter(self.shard_params.values())))
+        return self.num_slots + self.extra
 
     def validate(self, n_nodes: int, lam_bound: float):
         if self.num_shards < 1:
@@ -74,6 +90,17 @@ class EpochConfig:
 
     def creators(self, slot: int) -> dict[int, int]:
         return {s: self.assignment[(slot, s)] for s in range(1, self.num_shards + 1)}
+
+    def vector(self) -> list[bytes]:
+        """The epoch parameters as alpha + beta*Ns components: the general
+        parameters, then per shard its creator for each slot and its extra
+        parameters.  ``apply_epoch_output`` decodes this layout."""
+        out = list(self.general_params)
+        for shard in range(1, self.num_shards + 1):
+            for slot in range(1, self.num_slots + 1):
+                out.append(self.assignment[(slot, shard)].to_bytes(8, "big"))
+            out.extend(self.shard_params[shard])
+        return out
 
 
 def default_general_params(alpha: int, entropy: bytes, num_shards: int, num_slots: int,
@@ -154,8 +181,6 @@ class EpochData:
     list_l: dict[tuple[int, int], int]  # merged assignment for the next epoch
 
     def encode(self) -> bytes:
-        from . import values as values_mod
-
         body = values_mod.encode_vector(self.parameters)
         for (slot, shard), node in sorted(self.list_l.items()):
             body += slot.to_bytes(4, "big") + shard.to_bytes(4, "big") + node.to_bytes(4, "big")
@@ -171,8 +196,6 @@ class SyncBlock:
     epoch_data: EpochData | None
 
     def encode(self) -> bytes:
-        from . import values as values_mod
-
         body = (
             self.prev
             + self.epoch.to_bytes(8, "big")
@@ -190,13 +213,6 @@ class SyncBlock:
         # The certificate is attached beside the block, not hashed into it:
         # supporter sets are view-dependent, the agreed content is not.
         return crypto.digest(b"sync-block", self.encode())
-
-
-@dataclass
-class CertifiedSyncBlock:
-    block: SyncBlock
-    certificate: engine.Certificate
-    values: list[bytes | None]  # raw instance output backing the block
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +248,12 @@ def slot_observation(blocks, creators: dict[int, int], shard_prev: dict[int, byt
     return [best[s][1] if s in best else None for s in sorted(creators)]
 
 
-def epoch_observation(config: EpochConfig, entropy: bytes, n_nodes: int,
-                      ns_next: int, evidence_override: bytes | None = None) -> list[bytes | None]:
-    """Proposed next-epoch parameters, as one value per component.
-
-    The proposal rules are deterministic functions of shared state (the
-    previous certified block digest), so honest nodes propose identical
-    vectors; evidence_override perturbs the shard-count component to model
-    nodes whose local evidence disagrees.
-    """
-    alpha = config.alpha
-    props: list[bytes | None] = list(
-        default_general_params(alpha, entropy, ns_next, config.num_slots, config.slot_duration)
-    )
-    if evidence_override is not None:
-        props[0] = evidence_override
-    next_assign = derive_assignment(entropy, config.num_slots, ns_next, n_nodes)
-    extra = len(next(iter(config.shard_params.values())))
-    for shard in range(1, ns_next + 1):
-        for slot in range(1, config.num_slots + 1):
-            props.append(next_assign[(slot, shard)].to_bytes(8, "big"))
-        for k in range(extra):
-            props.append(crypto.digest(entropy, b"sp", shard.to_bytes(4, "big"),
-                                       k.to_bytes(4, "big"))[:8])
-    return props
+def epoch_observation(config: EpochConfig, entropy: bytes, n_nodes: int) -> list[bytes]:
+    """Proposed next-epoch parameters, one value per component: the config
+    ``genesis_config`` derives from shared state (the previous certified
+    block digest) in the current shape, so honest proposals are identical."""
+    return genesis_config(entropy, n_nodes, config.num_shards, config.num_slots,
+                          config.slot_duration, config.alpha, config.extra).vector()
 
 
 class EpochRejected(ValueError):
@@ -272,9 +270,7 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
     (layout/agreed shard count mismatch, invalid nodes) raises
     EpochRejected; the caller then retains the previous config wholesale.
     """
-    alpha = prev.alpha
-    extra = len(next(iter(prev.shard_params.values())))
-    beta = prev.num_slots + extra
+    alpha, beta, extra = prev.alpha, prev.beta, prev.extra
     if (len(parameters) - alpha) % beta != 0:
         raise EpochRejected("parameter vector does not tile into per-shard blocks")
     ns_layout = (len(parameters) - alpha) // beta
@@ -299,12 +295,8 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
     if num_slots != prev.num_slots:
         raise EpochRejected("slot count is fixed per deployment")
 
-    general = []
-    for k in range(alpha):
-        raw = parameters[k]
-        if raw is None:
-            raw = prev.general_params[k] if k < len(prev.general_params) else b""
-        general.append(raw)
+    general = [prev.general_params[k] if raw is None else raw
+               for k, raw in enumerate(parameters[:alpha])]
     general[0] = num_shards.to_bytes(8, "big")
     general[1] = num_slots.to_bytes(8, "big")
     general[2] = struct.pack(">d", slot_duration)
@@ -329,14 +321,10 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
                         f"assignment for slot {slot} shard {shard} references node {node}"
                     )
             assignment[(slot, shard)] = node
-        sp = []
-        for k in range(extra):
-            raw = parameters[base + num_slots + k]
-            if raw is None:
-                raw = prev.shard_params.get(shard, [b""] * extra)[k] if shard in prev.shard_params \
-                    else crypto.digest(b"sp-fallback", shard.to_bytes(4, "big"))[:8]
-            sp.append(raw)
-        shard_params[shard] = sp
+        fallback = prev.shard_params.get(shard) or \
+            [crypto.digest(b"sp-fallback", shard.to_bytes(4, "big"))[:8]] * extra
+        shard_params[shard] = [fallback[k] if raw is None else raw
+                               for k, raw in enumerate(parameters[base + num_slots:base + beta])]
 
     cfg = EpochConfig(prev.epoch + 1, num_shards, num_slots, slot_duration,
                       assignment, general, shard_params)
@@ -366,10 +354,19 @@ class ChainError(RuntimeError):
 
 @dataclass
 class SlotRecord:
-    epoch: int
-    slot: int
-    certified: CertifiedSyncBlock
+    """A certified slot: its block, the values and the instance that certified it."""
+
+    block: SyncBlock
+    values: list[bytes | None]
     result: netsim.InstanceResult
+
+    @property
+    def epoch(self) -> int:
+        return self.block.epoch
+
+    @property
+    def slot(self) -> int:
+        return self.block.slot
 
 
 @dataclass
@@ -403,7 +400,7 @@ def dump_chain(result: ChainResult, n_nodes: int) -> dict:
     """JSON-ready dump of the certified blocks, re-checkable bit-exactly."""
     blocks = []
     for rec in result.blocks:
-        blk = rec.certified.block
+        blk = rec.block
         ed = None
         if blk.epoch_data is not None:
             ed = {
@@ -413,7 +410,7 @@ def dump_chain(result: ChainResult, n_nodes: int) -> dict:
                     for (slot, shard), node in sorted(blk.epoch_data.list_l.items())
                 ],
             }
-        cert = rec.certified.certificate
+        cert = rec.result.certificate
         blocks.append(
             {
                 "epoch": blk.epoch,
@@ -422,7 +419,7 @@ def dump_chain(result: ChainResult, n_nodes: int) -> dict:
                 "shard_digests": [_hex(d) for d in blk.shard_digests],
                 "epoch_data": ed,
                 "digest": blk.digest().hex(),
-                "values": [_hex(v) for v in rec.certified.values],
+                "values": [_hex(v) for v in rec.values],
                 "certificate": {
                     "bits": list(cert.bits),
                     "theta_digest": cert.theta_digest.hex(),
@@ -550,42 +547,43 @@ def run_chain(
     evidence_overrides: dict[int, bytes] | None = None,
     horizon: float = np.inf,
 ) -> ChainResult:
-    """Simulate whole epochs; raises ChainError on any uncertified slot.
+    """Simulate whole epochs; raises ChainError on a failed bootstrap and on
+    any slot that does not give an honest node a certified output.
 
     Bootstrap clock offsets are drawn up to ``setup_skew`` (``lam_base`` when
     None); ``committee`` seats the pre-final steps (all nodes when None).
+    ``evidence_overrides`` replaces, per node, the shard-count component of
+    its last-slot proposal, to model nodes whose local evidence disagrees.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     committee = net.n if committee is None else committee
     genesis = crypto.digest(b"genesis", chain_id)
-    block_bound = 32 + 4 + 1 + 2 + 0 + 100 + 64 + block_size + 64
-    net.lam_block = net.lam(block_bound)
-    config.validate(net.n, net.lam_block)
+    lam_block = block_lambda(net.lam_base, net.lam_per_byte, block_size)
+    config.validate(net.n, lam_block)
 
     setup_skew = net.lam_base if setup_skew is None else setup_skew
-    netsim.synchronize(net, chain_id, genesis, setup_skew, rng)
-    slot_start = net.offsets.copy()
+    try:
+        netsim.synchronize(net, chain_id, genesis, setup_skew, rng)
+    except mbba.LivenessError as exc:
+        raise ChainError(f"bootstrap: {exc}") from None
 
     prev_digest = genesis
-    shard_prev = {}
+    shard_prev = {s: shard_genesis_digest(chain_id, s) for s in range(1, config.num_shards + 1)}
     records: list[SlotRecord] = []
     configs = [config]
 
     for _epoch_i in range(epochs):
-        for s in range(1, config.num_shards + 1):
-            shard_prev.setdefault(s, shard_genesis_digest(chain_id, s))
         for slot in range(1, config.num_slots + 1):
             last = slot == config.num_slots
             creators = config.creators(slot)
             label = f"blocks/{config.epoch}/{slot}"
+            where = f"slot {slot} of epoch {config.epoch}"
 
             # Block creation: assigned creators broadcast before t - 2*lambda.
             blocks = []
             for shard, creator in sorted(creators.items()):
-                strat = net.strategy(creator)
-                release_local = strat.block_release(net, creator, slot, shard,
-                                                    config.slot_duration)
-                if release_local is None:
+                release = net.strategy(creator).block_release(config.slot_duration, lam_block)
+                if release is None:
                     continue
                 blk = ShardBlock(
                     chain_id, config.epoch, slot, shard, creator,
@@ -593,78 +591,66 @@ def run_chain(
                     _block_payload(chain_id, config.epoch, slot, shard, block_size),
                 )
                 encoded = blk.encode()
-                sig = net.registry.sign(creator, encoded)
+                size = len(encoded) + len(net.registry.sign(creator, encoded))
                 dig = blk.digest()
-                size = len(encoded) + len(sig)
-                t_send = float(slot_start[creator] + release_local)
+                t_send = float(net.offsets[creator] + release)
                 row = net.deliver(creator, t_send, size, dig)
                 blocks.append((blk, dig, row))
                 net.trace.add(t_send, net.local(creator, t_send), creator, "send",
                               label, f"shard-{shard}", size, dig[:8].hex())
 
-            # Observations at local time t, then the slot's consensus instance.
-            obs_abs = slot_start + config.slot_duration
-            ns_next = config.num_shards
-            m = (
-                compute_nc(config.alpha, config.beta, ns_next, config.num_shards)
-                if last
-                else config.num_shards
-            )
+            # Observations at local time t, then the slot's consensus
+            # instance, which starts there too.  The last slot also agrees
+            # on the next epoch's parameters, which come first.
+            obs_abs = net.offsets + config.slot_duration
+            proposal = epoch_observation(config, prev_digest, net.n) if last else []
             purpose = "epoch_reconfig" if last else "slot_timing"
             inst = engine.CobInstanceId(chain_id, config.epoch, slot, purpose)
-            params = CobParams(inst, m, prev_digest, net.registry, committee)
+            params = CobParams(inst, len(proposal) + config.num_shards, prev_digest,
+                               net.registry, committee)
             observations = []
             for v in range(net.n):
                 slot_obs = slot_observation(
                     blocks, creators, shard_prev, float(obs_abs[v]), v, net.trace, label
                 )
-                if last:
-                    override = (evidence_overrides or {}).get(v)
-                    obs = epoch_observation(config, prev_digest, net.n, ns_next, override)
-                    obs.extend(slot_obs)
-                else:
-                    obs = slot_obs
-                observations.append(obs)
+                override = (evidence_overrides or {}).get(v) if last else None
+                head = proposal if override is None else [override, *proposal[1:]]
+                observations.append(head + slot_obs)
 
-            runner = netsim.InstanceRunner(net, params, observations, obs_abs)
-            result = runner.run(horizon)
-            if not result.certified or not result.outputs:
-                raise ChainError(
-                    f"slot {slot} of epoch {config.epoch} failed to certify"
-                )
+            result = netsim.InstanceRunner(net, params, observations,
+                                           config.slot_duration).run(horizon)
+            if not result.certified:
+                raise ChainError(f"{where} failed to certify")
 
             # All honest nodes assemble the same block; any honest output works.
             honest = [v for v in result.outputs if v not in net.byz]
+            if not honest:
+                raise ChainError(f"{where} certified, but no honest node holds its output")
             out = result.outputs[honest[0]]
             idents = {result.outputs[v].encode_identity() for v in honest}
             if len(idents) != 1:
-                raise ChainError(f"fork detected in slot {slot} of epoch {config.epoch}")
+                raise ChainError(f"fork detected in {where}")
 
             shard_digests = out.values[-config.num_shards:]
             epoch_data = None
             next_config = None
             if last:
-                raw_params = out.values[: config.alpha + config.beta * ns_next]
+                raw_params = out.values[: len(proposal)]
                 try:
-                    next_config = apply_epoch_output(raw_params, config, net.n, net.lam_block)
+                    next_config = apply_epoch_output(raw_params, config, net.n, lam_block)
                 except EpochRejected as exc:
                     net.trace.add(0.0, 0.0, -1, "epoch-rejected", label, "-", 0, "", str(exc))
                     next_config = carried_over(config)
                 epoch_data = EpochData(raw_params, dict(next_config.assignment))
 
             sync = SyncBlock(prev_digest, config.epoch, slot, list(shard_digests), epoch_data)
-            records.append(
-                SlotRecord(config.epoch, slot,
-                           CertifiedSyncBlock(sync, result.certificate, out.values), result)
-            )
+            records.append(SlotRecord(sync, out.values, result))
 
-            # Advance shard chains, clocks, and entropy.
+            # Advance shard chains and entropy; the runner rolled the clocks over.
             for i, shard in enumerate(sorted(creators)):
                 if shard_digests[i] is not None:
                     shard_prev[shard] = shard_digests[i]
             prev_digest = sync.digest()
-            slot_start = result.assembly_times.copy()
-            net.offsets = slot_start.copy()
             if last:
                 config = next_config
                 configs.append(config)

@@ -22,15 +22,19 @@ or a delay, and an empty list withholds the message.  The honest strategy
 returns the plan itself.  Honest-origin gossip is untouchable.
 
 The event loop is one heap of per-node deadline events ordered by (time,
-node, step).  The engine owns each node's lifecycle: at a deadline the
-runner hands the node its tally counts (or a catch-up from the final
-pool), and after every event it schedules the node's next step,
+node, step).  Every node starts at one local clock reading (0, or the
+slot duration in chain mode).  The engine owns each node's lifecycle: at
+a deadline the runner hands the node its tally counts (or a catch-up from
+the final pool), and after every event it schedules the node's next step,
 ``CobNodeState.step``, with one push, or none once that is None: the node
-is done or its echo budget is spent.  Tallies for all nodes of a step are
-evaluated in one batched kernel call when the first deadline of that step
-fires.  Sends happen one full step earlier, so the pool is usually
-complete by then; when the clock skew exceeds a step, a row that joins
-later drops the cached tally and the next deadline evaluates it again.
+is done or its echo budget is spent.  The runner alone rolls the clocks
+over: after writing its closing records, a certified run re-zeros every
+node's clock at its certificate assembly time.  Tallies for all nodes of
+a step are evaluated in one batched kernel call when the first deadline
+of that step fires.  Sends happen one full step earlier, so the pool is
+usually complete by then; when the clock skew exceeds a step, a row that
+joins later drops the cached tally and the next deadline evaluates it
+again.
 
 Every pool stores each accepted row once.  A step pool appends payload
 and delivery rows to two growing matrices, which its tally reads sorted
@@ -221,9 +225,9 @@ class Strategy:
         """The wire variants of one send."""
         return [plan]
 
-    def block_release(self, net, node, slot, shard, slot_duration: float):
+    def block_release(self, slot_duration: float, lam_block: float):
         """Local-clock release time of a shard block, the slot start for an
-        honest creator; None withholds it."""
+        honest creator; None withholds it.  ``lam_block`` is lambda(block)."""
         return 0.0
 
 
@@ -233,7 +237,7 @@ class CrashStrategy(Strategy):
     def message_plans(self, net, node, plan, params):
         return []
 
-    def block_release(self, net, node, slot, shard, slot_duration):
+    def block_release(self, slot_duration, lam_block):
         return None
 
 
@@ -285,8 +289,8 @@ class LateBlockStrategy(Strategy):
         self.offset_frac = offset_frac
         self.offset_lambdas = offset_lambdas
 
-    def block_release(self, net, node, slot, shard, slot_duration):
-        return self.offset_frac * slot_duration + self.offset_lambdas * net.lam_block
+    def block_release(self, slot_duration, lam_block):
+        return self.offset_frac * slot_duration + self.offset_lambdas * lam_block
 
 
 def _junk_row(params, plan: SendPlan, shared: bool) -> np.ndarray:
@@ -429,6 +433,11 @@ class Pool:
 # Network
 
 
+def diffusion_bound(lam_base: float, lam_per_byte: float, size_bytes: int) -> float:
+    """lambda(size): the bound on a message's diffusion to every honest node."""
+    return lam_base + size_bytes * lam_per_byte
+
+
 class Network:
     """Transport state shared by every instance of one run."""
 
@@ -448,7 +457,6 @@ class Network:
     ):
         self.n = n
         self.byz = byz
-        self.adj = adj
         self.hops = hop_matrix(adj, byz)
         self.registry = registry
         self.lam_base = lam_base
@@ -472,10 +480,9 @@ class Network:
             scale = lam_base / (d_max * max_hops)
             self.d_max = d_max * scale
             self.d_min = min(d_min, self.d_max)
-        self.lam_block = self.lam(512)  # refined by the chain layer
 
     def lam(self, size_bytes: int) -> float:
-        return self.lam_base + size_bytes * self.lam_per_byte
+        return diffusion_bound(self.lam_base, self.lam_per_byte, size_bytes)
 
     def local(self, node: int, t_abs: float) -> float:
         off = self.offsets[node]
@@ -542,20 +549,31 @@ class InstanceResult:
     outputs: dict[int, engine.CobOutput]
     assembly_times: np.ndarray | None
     liveness_failures: list[int]
-    certified: bool
-    bits: tuple | None = None
-    theta_digest: bytes | None = None
     certificate: engine.Certificate | None = None  # canonical, full supporter set
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def bits(self) -> tuple | None:
+        return None if self.certificate is None else self.certificate.bits
+
+    @property
+    def theta_digest(self) -> bytes | None:
+        return None if self.certificate is None else self.certificate.theta_digest
 
 
 class InstanceRunner:
-    """Drives one instance at every node over a shared event heap."""
+    """Drives one instance at every node over a shared event heap, from the
+    local clock reading ``start_local``; a certified run rolls the clocks
+    over to its certificate assembly times."""
 
-    def __init__(self, net: Network, params: CobParams, observations, start_abs):
+    def __init__(self, net: Network, params: CobParams, observations, start_local: float = 0.0):
         self.net = net
         self.params = params
         self.pools: dict[tuple, Pool] = {}
-        self.start_abs = np.asarray(start_abs, dtype=np.float64)
+        self.start_abs = net.offsets + start_local
         self.step_len = step_length(net, params)
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
@@ -673,7 +691,10 @@ class InstanceRunner:
             if state.step is not None:
                 t_next = self.start_abs[v] + engine.step_index(state.step) * self.step_len
                 heapq.heappush(heap, (float(t_next), v, state.step))
-        return self._finish(liveness)
+        result = self._finish(liveness)
+        if result.certified:
+            net.offsets = result.assembly_times.copy()
+        return result
 
     def _on_deadline(self, v: int, t: float, key, liveness: list[int]) -> list[SendPlan]:
         """Node ``v`` at its deadline ``key``: catch up from the final pool,
@@ -710,14 +731,14 @@ class InstanceRunner:
         pool = self.pools.get(engine.FINAL_STEP)
         outputs: dict[int, engine.CobOutput] = {}
         if pool is None or not pool.digests:
-            return InstanceResult(params, self.states, outputs, None, liveness, False)
+            return InstanceResult(params, self.states, outputs, None, liveness)
         quorum_key, votes, arrivals = None, None, None
         for gkey, (group_votes, arr) in sorted(pool.final_groups().items()):
             if len(group_votes) >= params.t_cert:
                 quorum_key, votes, arrivals = gkey, group_votes, arr
                 break
         if quorum_key is None:
-            return InstanceResult(params, self.states, outputs, None, liveness, False)
+            return InstanceResult(params, self.states, outputs, None, liveness)
         bits_bytes, theta_digest = quorum_key
         bits = tuple(bits_bytes)
         assembly = np.sort(arrivals, axis=0)[params.t_cert - 1, :]
@@ -739,10 +760,7 @@ class InstanceRunner:
             else:
                 net.trace.add(t_v, net.local(v, t_v), v, "output-mismatch", self.label,
                               "final", 0, theta_digest[:8].hex())
-        return InstanceResult(
-            params, self.states, outputs, assembly, liveness, True, bits, theta_digest,
-            canonical,
-        )
+        return InstanceResult(params, self.states, outputs, assembly, liveness, canonical)
 
 
 def synchronize(net: Network, chain_id: bytes, entropy: bytes, initial_skew: float,
@@ -758,11 +776,9 @@ def synchronize(net: Network, chain_id: bytes, entropy: bytes, initial_skew: flo
     inst = engine.CobInstanceId(chain_id, 0, -1, "synchronization_setup")
     params = CobParams(inst, 1, entropy, net.registry, net.n)
     observations = [[b"start"] for _ in range(net.n)]
-    runner = InstanceRunner(net, params, observations, net.offsets.copy())
-    result = runner.run()
+    result = InstanceRunner(net, params, observations).run()
     if not result.certified:
         raise mbba.LivenessError("synchronization setup failed to certify")
-    net.offsets = result.assembly_times.copy()
     for v in range(net.n):
         net.trace.add(float(net.offsets[v]), 0.0, v, "clock-reset", "setup", "final", 0, "")
     return result

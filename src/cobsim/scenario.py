@@ -114,7 +114,9 @@ class ScenarioConfig:
             req(self.alpha >= 3, "alpha", "layout reserves three general components")
             req(self.extra_shard_params >= 0, "extra_shard_params", "must be non-negative")
             req(self.block_size >= 1, "block_size", "must be positive")
-            req(self.slot_duration > 0, "slot_duration", "must be positive")
+            lam_block = chain_mod.block_lambda(self.lam_base, self.lam_per_byte, self.block_size)
+            req(self.slot_duration > 4 * lam_block, "slot_duration", f"must exceed "
+                f"4*lambda(block) = {4 * lam_block:.6g} at block_size {self.block_size}")
         return self
 
     def _validate_types(self):
@@ -248,17 +250,15 @@ def build_strategies(config: ScenarioConfig, byz: set[int]) -> dict[int, netsim.
     return {v: netsim.STRATEGIES[config.adversary]() for v in byz}
 
 
-def build_network(config: ScenarioConfig, seed: int, byz: set[int] | None = None,
-                  strategies: dict | None = None) -> netsim.Network:
-    byz = byzantine_set(config, seed) if byz is None else byz
+def build_network(config: ScenarioConfig, seed: int) -> netsim.Network:
+    byz = byzantine_set(config, seed)
     registry = KeyRegistry(config.n, crypto.digest(b"registry", seed.to_bytes(8, "big")))
     topo_seed = int(_substream(seed, b"topology").integers(0, 2**31 - 1))
     adj = netsim.build_topology(config.n, byz, config.topology, config.topology_params, topo_seed)
     return netsim.Network(
         config.n, byz, adj, registry, seed,
         config.lam_base, config.lam_per_byte, config.d_min, config.d_max,
-        strategies if strategies is not None else build_strategies(config, byz),
-        netsim.Trace(),
+        build_strategies(config, byz), netsim.Trace(),
     )
 
 
@@ -344,8 +344,7 @@ def run_simulate(config: ScenarioConfig, seed: int | None = None) -> SimulateRes
     seed = config.seed if seed is None else seed
     net = build_network(config, seed)
     if config.ablate_node is not None and config.ablate_node not in net.byz:
-        net.byz = set(net.byz) | {config.ablate_node}
-        net.strategies = dict(net.strategies)
+        net.byz.add(config.ablate_node)
         net.strategies[config.ablate_node] = netsim.CrashStrategy()
         # Ablation silences the node's sends but keeps it relaying, so the
         # delivery fabric (hop counts) is untouched.
@@ -358,12 +357,10 @@ def run_simulate(config: ScenarioConfig, seed: int | None = None) -> SimulateRes
     for k in range(config.instances):
         inst = engine.CobInstanceId(chain_id, 0, k, "slot_timing")
         params = engine.CobParams(inst, config.m, entropy, net.registry, config.committee)
-        runner = netsim.InstanceRunner(net, params, observations, net.offsets.copy())
-        res = runner.run(config.horizon)
+        res = netsim.InstanceRunner(net, params, observations).run(config.horizon)
         results.append(res)
         if res.certified:
             entropy = crypto.digest(entropy, res.theta_digest)
-            net.offsets = res.assembly_times.copy()
     return SimulateResult(config, seed, net, results, net.trace)
 
 

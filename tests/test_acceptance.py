@@ -168,7 +168,7 @@ def _timed_slot_run(seed, offset_frac, offset_lambdas, n=40, byz_extra=0):
     net.strategies = {creator: netsim.LateBlockStrategy(offset_frac, offset_lambdas)}
     net.honest_mask = np.array([v != creator for v in range(n)], dtype=bool)
     res = chain.run_chain(net, b"c4", 1, cfg, rng=np.random.default_rng(seed))
-    return res.blocks[0].certified.block.shard_digests[0]
+    return res.blocks[0].block.shard_digests[0]
 
 
 def test_criterion_4_time_slot_soundness():
@@ -222,7 +222,7 @@ def test_criterion_5_late_claim_attack_resistance():
         net.honest_mask = np.array([v not in net.byz for v in range(n)], dtype=bool)
         net.strategies = {v: ClaimLateStrategy() for v in byz}
         res = chain.run_chain(net, b"c5", 1, cfg, rng=np.random.default_rng(seed))
-        if res.blocks[0].certified.block.shard_digests[0] is None:
+        if res.blocks[0].block.shard_digests[0] is None:
             suppressed += 1
     assert suppressed == 0
     print(f"ACCEPTANCE 5: PASS — 200/200 on-time blocks certified against "
@@ -261,11 +261,11 @@ def test_criterion_7_chain_integrity():
             assert chain.verify_chain_dump(dump, reg) == 30
             # last-of-epoch blocks carry epoch data; blanks fell back cleanly
             for rec in result.blocks:
-                has_ed = rec.certified.block.epoch_data is not None
+                has_ed = rec.block.epoch_data is not None
                 assert has_ed == (rec.slot == 10), (shards, seed, rec.slot)
                 if has_ed:
                     fallbacks += sum(
-                        1 for v in rec.certified.block.epoch_data.parameters if v is None
+                        1 for v in rec.block.epoch_data.parameters if v is None
                     )
             for cfg_epoch in result.configs:
                 cfg_epoch.validate(n, 0.0 if cfg_epoch.slot_duration > 0 else 1.0)
@@ -281,12 +281,12 @@ def test_criterion_7_chain_integrity():
         overrides = {v: (7).to_bytes(8, "big") for v in range(0, n, 2)}
         result = chain.run_chain(net, b"c7f", 1, gcfg, rng=np.random.default_rng(seed),
                                  evidence_overrides=overrides)
-        ed = result.blocks[-1].certified.block.epoch_data
+        ed = result.blocks[-1].block.epoch_data
         assert ed is not None and ed.parameters[0] is None
         fallbacks += 1
         merged = result.configs[1]
         assert merged.num_shards == gcfg.num_shards
-        merged.validate(n, net.lam_block)
+        merged.validate(n, chain.block_lambda(net.lam_base, net.lam_per_byte, 256))
     print(f"ACCEPTANCE 7: PASS — 60/60 chains intact (30 blocks each), all dumps verified; "
           f"{fallbacks} blanked epoch components fell back per policy with valid merged configs")
 

@@ -76,6 +76,64 @@ def test_slot_observation_rejects_wrong_creator_and_link():
     assert chain.slot_observation(blocks, {1: 5}, prev, 5.0, 0) == [None]
 
 
+def test_late_block_release_time():
+    for frac, lams in ((1.0, -0.5), (0.5, 0.0), (1.0, 1.0), (0.25, -2.0)):
+        got = netsim.LateBlockStrategy(frac, lams).block_release(40.0, 1.25)
+        assert got == frac * 40.0 + lams * 1.25
+    assert netsim.Strategy().block_release(40.0, 1.25) == 0.0
+    assert netsim.CrashStrategy().block_release(40.0, 1.25) is None
+
+
+def test_late_block_is_sent_against_the_block_bound():
+    cfg = make_config(33, 1, 1)
+    creator = cfg.assignment[(1, 1)]
+    net = make_network(n=33, seed=22)
+    net.byz = {creator}
+    net.strategies = {creator: netsim.LateBlockStrategy(1.0, -0.5)}
+    chain.run_chain(net, b"chainT", 1, cfg, block_size=100, rng=np.random.default_rng(22))
+    [send] = [r for r in net.trace.records if r[3] == "send" and r[4] == "blocks/0/1"]
+    lam_block = chain.block_lambda(net.lam_base, net.lam_per_byte, 100)
+    assert send[1] == pytest.approx(40.0 - 0.5 * lam_block, abs=1e-9)
+
+
+# -- epoch parameter layout -------------------------------------------------------
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_vector_round_trips_through_apply_epoch_output(extra):
+    for shards in range(1, 17):
+        for alpha in range(3, 21):
+            entropy = crypto.digest(b"vec", bytes([shards, alpha, extra]))
+            cfg = chain.genesis_config(entropy, 33, shards, 3, 40.0, alpha, extra)
+            vec = cfg.vector()
+            assert len(vec) == cfg.alpha + cfg.beta * shards
+            got = chain.apply_epoch_output(vec, cfg, 33, 1.0)
+            assert got.assignment == cfg.assignment
+            assert got.general_params == cfg.general_params
+            assert got.shard_params == cfg.shard_params
+
+
+def test_epoch_observation_lays_out_the_derived_config():
+    prev = chain.genesis_config(crypto.digest(b"cfg"), 33, 3, 4, 40.0, alpha=6,
+                                extra_shard_params=2)
+    entropy = crypto.digest(b"ent")
+    want = chain.default_general_params(6, entropy, 3, 4, 40.0)
+    assignment = chain.derive_assignment(entropy, 4, 3, 33)
+    for shard in range(1, 4):
+        want += [assignment[(slot, shard)].to_bytes(8, "big") for slot in range(1, 5)]
+        want += [crypto.digest(entropy, b"sp", shard.to_bytes(4, "big"), k.to_bytes(4, "big"))[:8]
+                 for k in range(2)]
+    assert chain.epoch_observation(prev, entropy, 33) == want
+
+
+def test_last_slot_agrees_on_nc_components():
+    net = make_network(n=16, seed=28)
+    res = run(net, shards=3, slots=2, seed=28)
+    cfg = res.configs[0]
+    nc = chain.compute_nc(cfg.alpha, cfg.beta, cfg.num_shards, cfg.num_shards)
+    assert [rec.result.params.m for rec in res.blocks] == [3, nc]
+    assert len(res.blocks[-1].block.epoch_data.parameters) == nc - cfg.num_shards
+
+
 # -- merge rules ----------------------------------------------------------------
 
 def oracle_merge(parameters, prev, n_nodes):
@@ -99,7 +157,7 @@ def oracle_merge(parameters, prev, n_nodes):
 
 def test_apply_epoch_output_adopts_verbatim():
     prev = make_config()
-    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33, prev.num_shards)
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
     cfg = chain.apply_epoch_output(props, prev, 33, 1.0)
     assert cfg.epoch == prev.epoch + 1
     assert cfg.num_shards == prev.num_shards
@@ -118,7 +176,7 @@ def test_apply_epoch_output_full_fallback():
 
 def test_apply_epoch_output_partial_blank_duration():
     prev = make_config()
-    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33, prev.num_shards)
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
     props[2] = None  # blank the slot-duration component only
     cfg = chain.apply_epoch_output(props, prev, 33, 1.0)
     assert cfg.slot_duration == prev.slot_duration
@@ -127,7 +185,7 @@ def test_apply_epoch_output_partial_blank_duration():
 
 def test_apply_epoch_output_blank_assignments_round_robin():
     prev = make_config()
-    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33, prev.num_shards)
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
     for k in range(prev.alpha, prev.alpha + prev.num_slots):
         props[k] = None  # blank shard-1 creators
     cfg = chain.apply_epoch_output(props, prev, 33, 1.0)
@@ -137,7 +195,7 @@ def test_apply_epoch_output_blank_assignments_round_robin():
 
 def test_apply_epoch_output_rejects_inconsistent_shard_count():
     prev = make_config()
-    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33, prev.num_shards)
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
     props[0] = (99).to_bytes(8, "big")  # contradicts the list-L layout
     with pytest.raises(chain.EpochRejected):
         chain.apply_epoch_output(props, prev, 33, 1.0)
@@ -145,7 +203,7 @@ def test_apply_epoch_output_rejects_inconsistent_shard_count():
 
 def test_apply_epoch_output_rejects_unknown_node():
     prev = make_config()
-    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33, prev.num_shards)
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
     props[prev.alpha] = (1000).to_bytes(8, "big")
     with pytest.raises(chain.EpochRejected):
         chain.apply_epoch_output(props, prev, 33, 1.0)
@@ -158,13 +216,13 @@ def test_all_honest_chain_structure():
     res = run(net, epochs=2, shards=2, slots=3, seed=20)
     assert len(res.blocks) == 6
     for rec in res.blocks:
-        assert (rec.certified.block.epoch_data is not None) == (rec.slot == 3)
-        assert all(d is not None for d in rec.certified.block.shard_digests)
+        assert (rec.block.epoch_data is not None) == (rec.slot == 3)
+        assert all(d is not None for d in rec.block.shard_digests)
     # hash links
     prev = crypto.digest(b"genesis", b"chainT")
     for rec in res.blocks:
-        assert rec.certified.block.prev == prev
-        prev = rec.certified.block.digest()
+        assert rec.block.prev == prev
+        prev = rec.block.digest()
 
 
 def test_crash_creator_blanks_only_its_shard():
@@ -179,8 +237,8 @@ def test_crash_creator_blanks_only_its_shard():
     net.strategies = {victim: netsim.CrashStrategy()}
     res = run(net, shards=3, slots=2, seed=seed)
 
-    blk = res.blocks[0].certified.block
-    base_blk = base.blocks[0].certified.block
+    blk = res.blocks[0].block
+    base_blk = base.blocks[0].block
     assert blk.shard_digests[1] is None  # shard 2 blanked
     # component independence: other shards certified identically (same seed)
     assert blk.shard_digests[0] == base_blk.shard_digests[0]
@@ -194,7 +252,7 @@ def test_late_block_never_certified_when_released_after_slot_end():
     net.byz = {creator}
     net.strategies = {creator: netsim.LateBlockStrategy(1.0, +1.0)}
     res = chain.run_chain(net, b"chainT", 1, cfg, rng=np.random.default_rng(22))
-    assert res.blocks[0].certified.block.shard_digests == [None]
+    assert res.blocks[0].block.shard_digests == [None]
 
 
 def test_honest_release_always_certified():
@@ -204,7 +262,7 @@ def test_honest_release_always_certified():
     net.byz = {creator}
     net.strategies = {creator: netsim.LateBlockStrategy(1.0, -2.0)}  # exactly t - 2*lambda
     res = chain.run_chain(net, b"chainT", 1, cfg, rng=np.random.default_rng(23))
-    assert res.blocks[0].certified.block.shard_digests[0] is not None
+    assert res.blocks[0].block.shard_digests[0] is not None
 
 
 def test_dump_verify_roundtrip_and_epoch_structure():
@@ -236,6 +294,19 @@ def test_dump_verify_roundtrip_and_epoch_structure():
         chain.verify_chain_dump(bad, net.registry)
 
 
+def test_each_slot_starts_a_slot_duration_after_the_last_certificate():
+    net = make_network(n=16, seed=27)
+    res = run(net, epochs=2, shards=2, slots=3, seed=27)
+    records = net.trace.records
+    rollover = {r[2]: r[0] for r in records if r[3] == "clock-reset"}  # the bootstrap's
+    for rec in res.blocks:
+        label = f"{rec.result.params.instance.purpose}/{rec.epoch}/{rec.slot}"
+        starts = {r[2]: r[0] for r in records
+                  if r[3] == "timeout" and r[4] == label and r[5] == "start"}
+        assert starts == {v: float(rollover[v] + 40.0) for v in range(net.n)}, label
+        rollover = dict(enumerate(rec.result.assembly_times))
+
+
 def test_skew_stays_bounded_over_many_slots():
     net = make_network(n=21, seed=25)
     res = run(net, epochs=1, shards=1, slots=100, duration=30.0, seed=25)
@@ -256,8 +327,8 @@ def test_partitioned_evidence_blanks_component_and_falls_back():
     res = chain.run_chain(net, b"chainT", 1, cfg, rng=np.random.default_rng(26),
                           evidence_overrides=overrides)
     last = res.blocks[-1]
-    assert last.certified.block.epoch_data is not None
-    assert last.certified.block.epoch_data.parameters[0] is None  # blanked
+    assert last.block.epoch_data is not None
+    assert last.block.epoch_data.parameters[0] is None  # blanked
     assert res.configs[1].num_shards == cfg.num_shards  # fallback to layout
 
 

@@ -269,3 +269,25 @@ def test_runs_are_bounded(tmp_path, capsys, seed, runs, code):
         assert out.err.startswith(f"invalid --runs {runs}: ") and "Traceback" not in out.err
     else:
         assert out.out.count("certified") == runs
+
+
+@pytest.mark.parametrize("config, code, reason", [
+    ({"mode": "chain", "n": 12, "topology": "complete", "num_shards": 2, "num_slots": 2,
+      "seed": 1, "initial_skew": 100},
+     cli.EXIT_LIVENESS, "chain halted: bootstrap: synchronization setup failed to certify"),
+    ({"mode": "chain", "n": 3, "seed": 125, "topology": "watts_strogatz",
+      "byzantine_fraction": 0.45, "adversary": "equivocate", "initial_skew": 2.0,
+      "num_shards": 4, "num_slots": 3, "epochs": 2, "block_size": 1, "alpha": 5,
+      "extra_shard_params": 2},
+     cli.EXIT_LIVENESS,
+     "chain halted: slot 1 of epoch 1 certified, but no honest node holds its output"),
+    ({"mode": "chain", "n": 12, "topology": "complete", "num_shards": 1, "num_slots": 2,
+      "seed": 1, "slot_duration": 1.0},
+     cli.EXIT_CONFIG, "invalid config: config field 'slot_duration': must exceed "
+                      "4*lambda(block) = 4.2092 at block_size 256"),
+])
+def test_chain_failures_end_in_a_named_exit_code(tmp_path, capsys, config, code, reason):
+    path = write_config(tmp_path, "chain.json", config)
+    assert cli.main(["chain", "--config", path, "--unsafe-byzantine"]) == code
+    err = capsys.readouterr().err
+    assert err == reason + "\n" and "Traceback" not in err

@@ -56,7 +56,7 @@ def run_instance(net, m, observations, committee=None, entropy=None, tag=0):
         inst, m, entropy or crypto.digest(b"ent", tag.to_bytes(4, "big")),
         net.registry, committee or net.n,
     )
-    runner = netsim.InstanceRunner(net, params, observations, net.offsets.copy())
+    runner = netsim.InstanceRunner(net, params, observations)
     return runner.run(), runner
 
 
@@ -341,7 +341,7 @@ def test_horizon_exceeded_leaves_partial_trace_marker():
 
     inst = CobInstanceId(b"testchain", 0, 9, "slot_timing")
     params = CobParams(inst, 1, _crypto.digest(b"hz"), net.registry, net.n)
-    runner = netsim.InstanceRunner(net, params, [[b"x"]] * 10, net.offsets.copy())
+    runner = netsim.InstanceRunner(net, params, [[b"x"]] * 10)
     res = runner.run(horizon=float(net.offsets.min()) + 0.5 * runner.step_len)
     assert not res.certified
     assert any(r[3] == "timeout-horizon" for r in net.trace.records)

@@ -266,6 +266,29 @@ def test_synchronize_resets_and_bounds_skew():
     assert skew <= net.lam(final_size)
 
 
+def test_runner_rolls_clocks_over_only_when_certified():
+    net = make_network(n=10, seed=31)
+    rng = np.random.default_rng(31)
+    netsim.synchronize(net, b"c", crypto.digest(b"e"), 0.5, rng)
+    before = net.offsets.copy()
+
+    def runner(slot, start_local):
+        inst = engine.CobInstanceId(b"c", 0, slot, "slot_timing")
+        params = engine.CobParams(inst, 1, crypto.digest(b"roll"), net.registry, net.n)
+        return netsim.InstanceRunner(net, params, [[b"x"]] * net.n, start_local)
+
+    cut = runner(1, 2.0)
+    assert np.array_equal(cut.start_abs, before + 2.0)
+    res = cut.run(horizon=float(cut.start_abs.min()) + 0.5 * cut.step_len)
+    assert not res.certified
+    assert np.array_equal(net.offsets, before)  # the horizon cut leaves the clocks alone
+
+    res = runner(2, 0.0).run()
+    assert res.certified
+    assert np.array_equal(net.offsets, res.assembly_times)
+    assert not np.array_equal(net.offsets, before)
+
+
 def test_deep_topology_scales_hop_delays():
     # a 30-ring has 15-hop paths; per-hop delays shrink so the worst path
     # stays inside the diffusion bound without clamping
