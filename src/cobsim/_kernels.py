@@ -2,8 +2,13 @@
 
 Trace digests depend on every bit these return, so the integer mixing and
 the float64 operation order are fixed: per-hop delays are summed
-sequentially from the origin outwards, never pairwise.  ``tests/test_kernels``
-holds the plain-loop reference they must match exactly.
+sequentially from the origin outwards, never pairwise.  Delivery sampling
+takes a batch of messages, one row each, over one (hops, k, n) grid.
+Each cell sees the same integer and float64 operations, in the same
+order, as when its message is sampled alone, and every PRF counter depends
+only on its own (message, destination, hop), so a row's bits do not
+depend on the batch it is in.  ``tests/test_kernels`` holds the plain-loop
+reference they must match exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MUL2 = np.uint64(0x94D049BB133111EB)
@@ -25,34 +29,36 @@ _FLOAT_MAX = np.finfo(np.float64).max
 
 
 @lru_cache(maxsize=64)
-def _prf_counters(n: int, max_hops: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-free PRF counters, (1 + max_hops, n), and the destinations 0..n-1.
+def _prf_counters(n: int, max_hops: int) -> np.ndarray:
+    """Seed-free PRF counters, (max_hops, n).
 
-    Entry [1 + k, v] holds ``v * DEST_STRIDE + k * HOP_STRIDE``, the counter
-    of hop k towards v; row 0 stands for the origin's zero delay.
+    Entry [k, v] holds ``v * DEST_STRIDE + k * HOP_STRIDE``, the counter of
+    hop k towards v.
     """
-    dests = np.arange(n, dtype=np.intp)
-    counters = np.zeros((1 + max_hops, n), dtype=np.uint64)
-    counters[1:] = (np.arange(max_hops, dtype=np.uint64)[:, None] * _HOP_STRIDE
-                    + dests.astype(np.uint64) * _DEST_STRIDE)
+    counters = (np.arange(max_hops, dtype=np.uint64)[:, None] * _HOP_STRIDE
+                + np.arange(n, dtype=np.uint64) * _DEST_STRIDE)
     counters.setflags(write=False)
-    dests.setflags(write=False)
-    return counters, dests
+    return counters
 
 
-def delivery_times(t_send, hops, seed, d_min, d_max, cap):
-    """Per-destination delivery times for one gossiped message.
+def delivery_times(t_send, hops, seeds, d_min, d_max, caps):
+    """Per-destination delivery times for k gossiped messages, one row each.
 
-    hops[v] is the hop distance from the origin (0 = origin itself,
-    negative = unreachable).  Hop k towards v takes a delay drawn uniformly
-    from [d_min, d_max) by splitmix64 of ``seed + v * DEST_STRIDE + k *
-    HOP_STRIDE``; the end-to-end delay is clamped to ``cap``.
+    t_send: (k,) send times; hops: (k, n) hop distances from each row's
+    origin (0 = origin itself, negative = unreachable); seeds: (k,) u64;
+    caps: (k,) end-to-end bounds.  Hop j towards v takes a delay drawn
+    uniformly from [d_min, d_max) by splitmix64 of ``seed + v * DEST_STRIDE
+    + j * HOP_STRIDE``; the end-to-end delay is clamped to the row's cap.
+    Returns (k, n) float64.
     """
     hops = np.asarray(hops, dtype=np.int32)
-    n = hops.shape[0]
-    counters, dests = _prf_counters(n, int(hops.max(initial=0)))
-    # splitmix64 in place; the seed and the gamma step fold into one add.
-    x = counters + np.uint64((int(seed) + _SM_GAMMA) & _MASK)
+    k, n = hops.shape
+    depth = max(1, int(hops.max(initial=0)))
+    # The grid is hop-major, (hops, k, n), so that the running sum over hops
+    # below adds whole contiguous (k, n) planes.  splitmix64 in place; each
+    # row's seed and the gamma step fold into one add.
+    x = _prf_counters(n, depth)[:, None, :] + (np.asarray(seeds, dtype=np.uint64)
+                                               + np.uint64(_SM_GAMMA))[None, :, None]
     t = x >> _SHIFT1
     x ^= t
     x *= _SM_MUL1
@@ -66,13 +72,17 @@ def delivery_times(t_send, hops, seed, d_min, d_max, cap):
     delays *= _INV_2_53
     delays *= d_max - d_min
     delays += d_min
-    delays[0] = 0.0
-    # delays[h, v] becomes the delay of the first h hops, added in hop order.
-    np.add.accumulate(delays, axis=0, out=delays)
-    # Unreachable destinations read a stray entry here and are overwritten below.
-    total = delays.ravel().take(hops * n + dests, mode="clip")
-    np.minimum(total, cap, out=total)
-    total += t_send
+    # delays[h - 1, r, v] becomes the delay of the first h hops, added in hop order.
+    for h in range(1, depth):
+        delays[h] += delays[h - 1]
+    # The origin's delay is zero; unreachable destinations read a stray
+    # entry here and are overwritten below.
+    flat = (hops.astype(np.intp) - 1) * (k * n)
+    flat += np.arange(k * n, dtype=np.intp).reshape(k, n)
+    total = delays.ravel().take(flat, mode="clip")
+    total[hops == 0] = 0.0
+    np.minimum(total, np.asarray(caps, dtype=np.float64)[:, None], out=total)
+    total += np.asarray(t_send, dtype=np.float64)[:, None]
     total[hops < 0] = np.inf
     return total
 

@@ -594,10 +594,11 @@ def run_chain(
                 size = len(encoded) + len(net.registry.sign(creator, encoded))
                 dig = blk.digest()
                 t_send = float(net.offsets[creator] + release)
-                row = net.deliver(creator, t_send, size, dig)
-                blocks.append((blk, dig, row))
+                blocks.append((blk, dig, net.send(creator, t_send, size, dig)))
                 net.trace.add(t_send, net.local(creator, t_send), creator, "send",
                               label, f"shard-{shard}", size, dig[:8].hex())
+            net.deliver()
+            blocks = [(blk, dig, sent.row) for blk, dig, sent in blocks]
 
             # Observations at local time t, then the slot's consensus
             # instance, which starts there too.  The last slot also agrees
@@ -620,7 +621,8 @@ def run_chain(
             result = netsim.InstanceRunner(net, params, observations,
                                            config.slot_duration).run(horizon)
             if not result.certified:
-                raise ChainError(f"{where} failed to certify")
+                cut = "" if result.cut_at is None else f": the horizon cut it at t={result.cut_at:g}"
+                raise ChainError(f"{where} failed to certify{cut}")
 
             # All honest nodes assemble the same block; any honest output works.
             honest = [v for v in result.outputs if v not in net.byz]

@@ -9,6 +9,9 @@ A node's place is its step key (``CobNodeState.step``, advanced by
 ``next_step``).  A message is one ``SendPlan`` carrying the row its step
 tallies, and a node's view at a deadline is its (m, V) tally of those
 rows: the engine encodes agreement votes as ``vote_row`` and decodes them.
+The rules of a step run for many nodes at once (``step_outcomes``, one
+call per rule over their stacked tallies); each node then applies its own
+row at its own deadline (``on_step_deadline``).
 
 The certificate for an instance is a quorum of matching signed final
 votes.  Finals are cast by the whole population (the final step runs with
@@ -134,7 +137,8 @@ def final_seed(instance_digest: bytes, entropy: bytes) -> sortition.SortitionSee
 # up to the signature itself.
 
 def encode_mgc_message(params, step, sender, row, proof) -> bytes:
-    vec = values_mod.encode_vector([params.interner.value(v) for v in row])
+    encodings = params.interner.encodings  # each value id's encode_value bytes
+    vec = b"".join([encodings[v] for v in row.tolist()])
     return (
         params.digest
         + sender.to_bytes(4, "big")
@@ -356,15 +360,36 @@ def _final_send(state: CobNodeState) -> list[SendPlan]:
     return [SendPlan(FINAL_STEP, state.bits.copy(), proof, theta_dig)]
 
 
-def on_step_deadline(
-    state: CobNodeState, step_key: tuple, counts: np.ndarray, coin_min_vrf: int | None = None
-) -> list[SendPlan]:
+def step_outcomes(params: CobParams, step_key: tuple, states: list[CobNodeState],
+                  counts: np.ndarray, coins: np.ndarray | None = None) -> tuple:
+    """One step's rules for several nodes at once, one call per rule.
+
+    ``counts`` is the nodes' (k, m, V) tallies of the step's rows; in an
+    agreement phase V is ``VOTE_VALUES``.  ``coins`` is their (k,) coin
+    bits, exactly in a coin phase.  Returns (k, m) arrays whose row i
+    ``on_step_deadline`` applies to ``states[i]``: the echo in graded steps
+    1 and 2, (theta, grades) at step 3, and (bits, decided, newly decided)
+    in an agreement phase.
+    """
+    if step_key[0] == "mgc":
+        if step_key[1] < 3:
+            return (mgc.echo_filter(counts),)
+        ranks = np.array(params.interner.digest_ranks(), dtype=np.int64)
+        return mgc.finalize(counts, ranks, params.t_high, params.t_low)
+    phase = step_key[2]
+    # Column = vote_row id (bit + 2 * flag); a flagged vote also counts for its bit.
+    flagged_zeros, flagged_ones = counts[..., 2], counts[..., 3]
+    return mbba.phase_transition(
+        np.array([s.bits for s in states]), np.array([s.decided for s in states]), phase,
+        counts[..., 0] + flagged_zeros, counts[..., 1] + flagged_ones,
+        flagged_zeros, flagged_ones, params.t_high, coins,
+    )
+
+
+def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[SendPlan]:
     """Advance the node past one step deadline.  Returns the next sends.
 
-    ``counts`` is the node's (m, V) tally of the step's rows; in an
-    agreement phase V is ``VOTE_VALUES``.  ``coin_min_vrf`` is the minimum
-    sortition output (u64) among the coin-phase votes counted, None if
-    there were none.
+    ``row`` is the node's row of ``step_outcomes`` for this step.
     """
     if state.step is None or state.halted:
         return []
@@ -377,33 +402,23 @@ def on_step_deadline(
             proof = state.params.draw(state.step, state.node)
             if proof is None:
                 return []
-            return [SendPlan(state.step, mgc.echo_filter(counts), proof)]
+            return [SendPlan(state.step, row[0], proof)]
         # step 3: grade and move to the agreement loop
-        ranks = np.array(state.params.interner.digest_ranks(), dtype=np.int64)
-        theta, grades = mgc.finalize(counts, ranks, state.params.t_high, state.params.t_low)
-        state.theta = theta
-        state.grades = grades
-        state.bits = mbba.init_bits(grades)
+        state.theta, state.grades = row
+        state.bits = mbba.init_bits(state.grades)
         state.decided = np.zeros(state.params.m, dtype=bool)
         return _mbba_send(state)
 
     _, iteration, phase = step_key
-    coin = mbba.coin_bit(coin_min_vrf) if phase == mbba.PHASE_COIN else None
-    # Column = vote_row id (bit + 2 * flag); a flagged vote also counts for its bit.
-    flagged_zeros, flagged_ones = counts[:, 2], counts[:, 3]
-    bits, decided, newly = mbba.phase_transition(
-        state.bits, state.decided, phase, counts[:, 0] + flagged_zeros,
-        counts[:, 1] + flagged_ones, flagged_zeros, flagged_ones, state.params.t_high, coin,
-    )
-    state.bits, state.decided = bits, decided
+    state.bits, state.decided, newly = row
     for comp in np.nonzero(newly)[0]:
-        state.decision_log.append((iteration, phase, int(comp), int(bits[comp])))
-    if mbba.halt_check(decided, bits) is not None:
+        state.decision_log.append((iteration, phase, int(comp), int(state.bits[comp])))
+    if mbba.halt_check(state.decided, state.bits) is not None:
         return _halt_and_final(state)
     if not _advance(state):
         raise mbba.LivenessError(
             f"node {state.node}: iteration cap {mbba.ITERATION_CAP} reached with "
-            f"{int((~decided).sum())} undecided components"
+            f"{int((~state.decided).sum())} undecided components"
         )
     return _mbba_send(state)
 

@@ -49,12 +49,13 @@ def phase_transition(
     flagged_zeros: np.ndarray,
     flagged_ones: np.ndarray,
     t_high: int,
-    coin: int | None = None,
+    coin=None,
 ):
     """Apply one phase's rules; returns (bits', decided', newly_decided mask).
 
     All arrays are shaped (..., m) and are not modified in place.  Decided
-    components are frozen.  ``coin`` is required exactly in the coin phase.
+    components are frozen.  ``coin`` is required exactly in the coin phase:
+    one bit, or one per node, shaped like the leading axes.
     """
     if phase == PHASE_COIN:
         if coin is None:
@@ -95,22 +96,25 @@ def phase_transition(
         bits[set0] = 0
         set1 = open_ & ~q0 & q1
         bits[set1] = 1
-        if coin == 1:
-            herd = open_ & ~q0 & ~q1
-            bits[herd] = 1
+        herd = open_ & ~q0 & ~q1 & (np.asarray(coin)[..., None] == 1)
+        bits[herd] = 1
     else:
         raise ValueError(f"bad phase {phase}")
     newly = decided & ~decided_on_entry
     return bits, decided, newly
 
 
-def coin_bit(min_vrf: int | None) -> int:
+def coin_bit(min_vrf, present=True):
     """Shared coin: LSB of the minimum sortition output among coin-phase votes.
 
     A phase that received no votes is a liveness fault with no coin
-    material; the coin is then 0, which keeps every open bit.
+    material (``min_vrf`` None, or ``present`` false); the coin is then 0,
+    which keeps every open bit.  Works per node on arrays of minima and
+    ``present`` flags.
     """
-    return 0 if min_vrf is None else min_vrf & 1
+    if min_vrf is None:
+        return 0
+    return np.where(present, np.asarray(min_vrf, dtype=np.uint64) & np.uint64(1), 0)
 
 
 def halt_check(decided: np.ndarray, bits: np.ndarray):

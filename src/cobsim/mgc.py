@@ -7,9 +7,9 @@ grades each component 0/1/2 against two absolute thresholds derived from
 the expected step committee size.
 
 All rule functions work on dense count arrays indexed (component, value
-id); value id 0 is the blank BOT.  The engine calls them once per node
-with its (m, V) tally.  They also accept leading batch axes, for a runner
-that evaluates one step for all nodes in a single call.
+id); value id 0 is the blank BOT.  They accept leading batch axes: the
+runner evaluates one step for all its nodes in one call over their
+(k, m, V) tallies, through ``engine.step_outcomes``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def finalize(
     ranks = np.asarray(digest_ranks)[1:]
     # Deterministic argmax: maximize count, then minimize digest rank.
     nvals = vals.shape[-1]
-    key = vals.astype(np.int64) * (nvals + 1) + (nvals - ranks.astype(np.int64))
+    key = vals.astype(np.int64)
+    key *= nvals + 1
+    key += nvals - ranks.astype(np.int64)
     best = np.argmax(key, axis=-1).astype(np.int32) + 1
     best_count = np.take_along_axis(vals, best[..., None] - 1, axis=-1)[..., 0]
     floor = max(t_low, 1)  # a grade needs at least one actual vote

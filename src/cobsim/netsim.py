@@ -22,19 +22,29 @@ or a delay, and an empty list withholds the message.  The honest strategy
 returns the plan itself.  Honest-origin gossip is untouchable.
 
 The event loop is one heap of per-node deadline events ordered by (time,
-node, step).  Every node starts at one local clock reading (0, or the
-slot duration in chain mode).  The engine owns each node's lifecycle: at
-a deadline the runner hands the node its tally counts (or a catch-up from
-the final pool), and after every event it schedules the node's next step,
-``CobNodeState.step``, with one push, or none once that is None: the node
-is done or its echo budget is spent.  The runner alone rolls the clocks
-over: after writing its closing records, a certified run re-zeros every
-node's clock at its certificate assembly time.  Tallies for all nodes of
-a step are evaluated in one batched kernel call when the first deadline
-of that step fires.  Sends happen one full step earlier, so the pool is
-usually complete by then; when the clock skew exceeds a step, a row that
-joins later drops the cached tally and the next deadline evaluates it
-again.
+node, step); the heap is the order of record, and every trace record is
+written at its own node's event.  Every node starts at one local clock
+reading (0, or the slot duration in chain mode).  The engine owns each
+node's lifecycle: at a deadline the runner hands the node its row of the
+step's rule outcome (or a catch-up from the final pool), and after every
+event it schedules the node's next step, ``CobNodeState.step``, with one
+push, or none once that is None: the node is done or its echo budget is
+spent.  The runner alone rolls the clocks over: after writing its closing
+records, a certified run re-zeros every node's clock at its certificate
+assembly time.
+
+Delivery, tallies and rules run per batch.  A send joins the network's
+queue, and its pool keeps the payload at once; the delivery rows follow
+when a pool read needs them (a tally, a coin minimum, the final census),
+and then the whole queue is delivered in send order, a chunk of messages
+per ``delivery_times`` call.  Delivery rows depend only on the sends
+before them, so batching moves no bit.  At the first deadline of a step
+the tally is evaluated for all nodes in one kernel call, and the step's
+rules in one call for every node at that step that has not halted.  Sends
+happen one full step earlier, so the pool is usually complete by then;
+when the clock skew exceeds a step, a row that joins later drops the
+cached tally, and the next deadline evaluates the tally and the rules
+again for the nodes still at that step.
 
 Every pool stores each accepted row once.  A step pool appends payload
 and delivery rows to two growing matrices, which its tally reads sorted
@@ -51,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -329,12 +340,17 @@ class _Rows:
         self.size = 0
 
     def append(self, row):
-        if self.size == len(self._data):
-            grown = np.empty((2 * self.size, self._data.shape[1]), dtype=self._data.dtype)
-            grown[: self.size] = self._data
+        self.extend(row[None])
+
+    def extend(self, rows):
+        end = self.size + len(rows)
+        if end > len(self._data):
+            grown = np.empty((max(end, 2 * len(self._data)), self._data.shape[1]),
+                             dtype=self._data.dtype)
+            grown[: self.size] = self._data[: self.size]
             self._data = grown
-        self._data[self.size] = row
-        self.size += 1
+        self._data[self.size:end] = rows
+        self.size = end
 
     def view(self) -> np.ndarray:
         return self._data[: self.size]
@@ -355,12 +371,16 @@ class Pool:
     A step pool appends every accepted variant's payload and delivery row
     to two growing matrices.  The final pool keeps only its census: per
     content (bits, theta digest), the first ``FinalVote`` of each sender
-    and its arrival times.
+    and its arrival times.  A delivery row joins when the network delivers
+    its queue; every read that needs the rows delivers it first if one of
+    this pool's rows is still queued.
     """
 
-    def __init__(self, n: int, m: int, final: bool = False):
-        self.n = n
+    def __init__(self, net: Network, m: int, final: bool = False):
+        self.net = net
+        self.n = net.n
         self.digests: set[bytes] = set()
+        self._last: Delivery | None = None  # the latest send whose row this pool keeps
         self._census: dict[tuple, _Census] | None = None
         if final:
             self._census = {}
@@ -368,14 +388,15 @@ class Pool:
         self.senders: list[int] = []
         self.vrf64: list[int] = []
         self.payloads = _Rows(m, np.int32)
-        self.deliveries = _Rows(n, np.float64)
+        self.deliveries = _Rows(self.n, np.float64)
         self._tallies: dict = {}
 
-    def add(self, sender, payload_row, delivery_row, digest, vrf_out: bytes) -> bool:
+    def add(self, sender, payload_row, delivery: Delivery, digest, vrf_out: bytes) -> bool:
         """Pool one wire variant unless its digest is already here.
 
-        ``vrf_out`` is the sender's sortition output; its leading 64 bits
-        feed the coin.  A final's payload is (bits, theta digest,
+        ``delivery`` is the variant's queued send; the row it delivers joins
+        the pool.  ``vrf_out`` is the sender's sortition output; its leading
+        64 bits feed the coin.  A final's payload is (bits, theta digest,
         signature); it joins the census as a ``FinalVote`` (sender,
         ``vrf_out``, signature) unless its sender already backs that content.
         """
@@ -390,14 +411,30 @@ class Pool:
             if sender not in group.senders:
                 group.senders.add(sender)
                 group.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
-                group.arrivals.append(delivery_row)
+                delivery.into, self._last = group.arrivals, delivery
             return True
         self.senders.append(sender)
         self.vrf64.append(crypto.u64_from(vrf_out))
         self.payloads.append(payload_row)
-        self.deliveries.append(delivery_row)
+        delivery.into, self._last = self.deliveries, delivery
         self._tallies.clear()
         return True
+
+    def _settle(self):
+        """Deliver the network's queue if a row of this pool is in it."""
+        if self._last is not None and self._last.row is None:
+            self.net.deliver()
+
+    def may_hold(self, node: int, t_abs: float, count: int) -> bool:
+        """Whether ``node`` may hold ``count`` finals of one content by
+        ``t_abs``: its delivered rows that arrived, plus every queued one.
+        False settles the census check without delivering the queue."""
+        for g in self._census.values():
+            queued = len(g.votes) - g.arrivals.size
+            if len(g.votes) >= count and queued + int(
+                    np.count_nonzero(g.arrivals.view()[:, node] <= t_abs)) >= count:
+                return True
+        return False
 
     def final_groups(self):
         """Finals grouped by content: {(bits, digest): (votes, arrivals)}.
@@ -405,10 +442,12 @@ class Pool:
         One vote per sender (first emitted wins); arrivals[j] is the
         delivery row of votes[j].  Both are the census's own storage.
         """
+        self._settle()
         return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
 
     def tally(self, deadlines: np.ndarray, num_values: int) -> np.ndarray:
         """(n, m, V) counts at per-node deadlines; one kernel call per step."""
+        self._settle()
         key = (float(deadlines[0]), num_values)
         hit = self._tallies.get(key)
         if hit is None:
@@ -421,6 +460,7 @@ class Pool:
 
     def min_vrf(self, deadlines: np.ndarray):
         """(mins, present): per-node minimum sortition output among timely rows."""
+        self._settle()
         if not self.senders:
             return np.zeros(self.n, dtype=np.uint64), np.zeros(self.n, dtype=bool)
         counted = self.deliveries.view() <= deadlines[None, :]
@@ -431,6 +471,26 @@ class Pool:
 
 # ---------------------------------------------------------------------------
 # Network
+
+
+DELIVERY_CELLS = 1 << 14  # PRF grid cells per delivery_times call: the grid stays in cache
+
+
+class Delivery:
+    """One queued send: its sampling inputs, and its delivery row once
+    ``Network.deliver`` has run.  A pool that keeps the row sets ``into``,
+    the matrix the row is appended to."""
+
+    __slots__ = ("origin", "t_send", "cap", "seed", "dest_mask", "into", "row")
+
+    def __init__(self, origin, t_send, cap, seed, dest_mask):
+        self.origin = origin
+        self.t_send = t_send
+        self.cap = cap
+        self.seed = seed
+        self.dest_mask = dest_mask
+        self.into = None
+        self.row = None
 
 
 def diffusion_bound(lam_base: float, lam_per_byte: float, size_bytes: int) -> float:
@@ -471,11 +531,13 @@ class Network:
         )
         self.offsets = np.zeros(n, dtype=np.float64)  # abs time at local 0
         self.honest_mask = np.array([v not in byz for v in range(n)], dtype=bool)
-        self._fifo_floor: dict[int, np.ndarray] = {}
+        self._queue: list[Delivery] = []
+        self._fifo_floor: dict[int, np.ndarray] = {}  # latest row of each honest origin
         # Keep worst-case path delays strictly inside the diffusion bound so
         # the envelope clamp never has to fire: scale the per-hop window down
         # when the realized topology is deep.
         max_hops = max(1, int(self.hops.max()))
+        self._grid_row = max_hops * n  # PRF grid cells of one delivery row, at most
         if d_max * max_hops > lam_base:
             scale = lam_base / (d_max * max_hops)
             self.d_max = d_max * scale
@@ -486,7 +548,7 @@ class Network:
 
     def local(self, node: int, t_abs: float) -> float:
         off = self.offsets[node]
-        if not (np.isfinite(t_abs) and np.isfinite(off)):
+        if not (math.isfinite(t_abs) and math.isfinite(off)):
             return float("inf")
         return t_abs - off
 
@@ -495,40 +557,89 @@ class Network:
             return self.strategies.get(node, _HONEST)
         return _HONEST
 
-    def deliver(self, origin, t_send, size, digest, dest_mask=None, delay=0.0) -> np.ndarray:
-        msg_seed = (self.delay_seed ^ crypto.u64_from(digest)) & U64MAX
-        cap = self.lam(size)
-        row = np.asarray(
-            kernels.delivery_times(
-                t_send + delay, self.hops[origin], msg_seed, self.d_min, self.d_max, cap
-            )
+    def send(self, origin, t_send, size, digest, dest_mask=None, delay=0.0) -> Delivery:
+        """Queue one message for the next ``deliver``; returns its ``Delivery``."""
+        seed = (self.delay_seed ^ crypto.u64_from(digest)) & U64MAX
+        queued = Delivery(origin, t_send + delay, self.lam(size), seed, dest_mask)
+        self._queue.append(queued)
+        return queued
+
+    def deliver(self):
+        """Deliver every queued send, in send order, a chunk of rows per
+        ``delivery_times`` call; each row is the one the message would get
+        if it were sent alone at its turn."""
+        queue, self._queue = self._queue, []
+        per_call = max(1, DELIVERY_CELLS // self._grid_row)
+        while queue:
+            chunk = queue[:per_call]
+            del queue[:per_call]  # a delivered chunk's rows live only in their pools
+            self._deliver_chunk(chunk)
+
+    def _deliver_chunk(self, chunk: list[Delivery]):
+        k = len(chunk)
+        origins = np.fromiter((d.origin for d in chunk), dtype=np.intp, count=k)
+        caps = np.fromiter((d.cap for d in chunk), dtype=np.float64, count=k)
+        rows = kernels.delivery_times(
+            np.fromiter((d.t_send for d in chunk), dtype=np.float64, count=k),
+            self.hops[origins], np.fromiter((d.seed for d in chunk), dtype=np.uint64, count=k),
+            self.d_min, self.d_max, caps,
         )
-        if dest_mask is not None:
-            row = row.copy()
-            keep = np.asarray(dest_mask, dtype=bool).copy()
-            keep[origin] = True
-            row[~keep] = np.inf
-        if origin in self.byz:
+        masked = [i for i, d in enumerate(chunk) if d.dest_mask is not None]
+        if masked:
+            keep = np.array([chunk[i].dest_mask for i in masked], dtype=bool)
+            keep[np.arange(len(masked)), origins[masked]] = True
+            rows[masked] = np.where(keep, rows[masked], np.inf)
+        byz = np.fromiter((d.origin in self.byz for d in chunk), dtype=bool, count=k)
+        if byz.any():
             # Honest nodes relay whatever they hold: a byzantine-origin
             # message re-diffuses within lambda(size) of its earliest honest
             # receipt, so selective delivery only buys a bounded head start.
-            direct = row[self.honest_mask]
-            if direct.size and np.isfinite(direct).any():
-                t_first = float(direct.min())
-                row = np.minimum(row, t_first + cap)
-        else:
+            b = np.flatnonzero(byz)
+            sub = rows[b]
+            t_first = sub[:, self.honest_mask].min(axis=1, initial=np.inf)
+            rows[b] = np.minimum(sub, (t_first + caps[b])[:, None])
+        honest = np.flatnonzero(~byz)
+        if honest.size:
             # FIFO per (origin -> destination): an honest sender's later
             # message never overtakes an earlier one.  The clamp respects
-            # the envelope because earlier sends carry earlier bounds.
-            last = self._fifo_floor.get(origin)
-            if last is not None:
-                row = np.maximum(row, last)
-            self._fifo_floor[origin] = row
-        return row
+            # the envelope because earlier sends carry earlier bounds.  A
+            # row's floor is its origin's previous row, so the j-th rows of
+            # each origin in this chunk are clamped together, j = 0, 1, ...
+            floor, none = self._fifo_floor, np.full(self.n, -np.inf)
+            for layer in _occurrence_layers(origins[honest]):
+                idx = honest[layer]
+                src = origins[idx].tolist()
+                clamped = np.maximum(rows[idx], np.array([floor.get(v, none) for v in src]))
+                rows[idx] = clamped
+                for v, row in zip(src, clamped):
+                    floor[v] = row.copy()  # its own array: no chunk outlives the send
+        start = 0  # rows[start:i + 1] run to one pool's matrix
+        for i, d in enumerate(chunk):
+            d.row = rows[i]
+            if i + 1 == k or chunk[i + 1].into is not d.into:
+                if d.into is not None:
+                    d.into.extend(rows[start:i + 1])
+                start = i + 1
+
+
+def _occurrence_layers(keys: np.ndarray) -> list[list[int]]:
+    """Positions of ``keys`` split by occurrence: layer j holds, in order,
+    the positions where a key appears for the (j+1)-th time."""
+    seen: dict[int, int] = {}
+    layers: list[list[int]] = []
+    for pos, key in enumerate(keys.tolist()):
+        j = seen[key] = seen.get(key, -1) + 1
+        if j == len(layers):
+            layers.append([])
+        layers[j].append(pos)
+    return layers
 
 
 # ---------------------------------------------------------------------------
 # Instance runner
+
+RULE_CELLS = 1 << 15  # (node, component, value) cells per rule call
+
 
 def mgc_message_size_bound(params: CobParams) -> int:
     # Worst case: every component carries a 64-byte value.
@@ -550,6 +661,7 @@ class InstanceResult:
     assembly_times: np.ndarray | None
     liveness_failures: list[int]
     certificate: engine.Certificate | None = None  # canonical, full supporter set
+    cut_at: float | None = None  # the horizon, when it stopped the run early
 
     @property
     def certified(self) -> bool:
@@ -577,11 +689,12 @@ class InstanceRunner:
         self.step_len = step_length(net, params)
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
+        self._batches: dict[tuple, tuple] = {}  # step key -> (counts, present, rows by node)
 
     def pool(self, step_key) -> Pool:
         p = self.pools.get(step_key)
         if p is None:
-            p = Pool(self.net.n, self.params.m, final=step_key == engine.FINAL_STEP)
+            p = Pool(self.net, self.params.m, final=step_key == engine.FINAL_STEP)
             self.pools[step_key] = p
         return p
 
@@ -610,7 +723,9 @@ class InstanceRunner:
         sig = net.registry.sign(node, encoded)
         digest = crypto.digest(encoded, sig)
         size = len(encoded) + len(sig)
-        delivery = net.deliver(node, t_abs, size, digest, plan.dest_mask, plan.delay)
+        # Queued even when the pool rejects it: the send still moves its
+        # origin's FIFO floor.
+        delivery = net.send(node, t_abs, size, digest, plan.dest_mask, plan.delay)
         if key[0] == "final":
             row = (bytes(int(b) for b in row), plan.theta_digest, sig)
         pool = self.pool(key)
@@ -620,22 +735,47 @@ class InstanceRunner:
                 engine.step_label(key), size, digest[:8].hex(),
             )
 
-    # -- tallies --------------------------------------------------------------
-    def node_tally(self, step_key, node: int) -> tuple[np.ndarray, int | None]:
-        """(counts, coin): the node's (m, V) tally of the step's rows at its
-        deadline and, in a coin phase, the minimum sortition output among
-        the votes counted (None if none was, and outside coin phases)."""
+    # -- step rules -------------------------------------------------------------
+    def step_outcome(self, step_key, node: int) -> tuple[tuple, np.ndarray | None]:
+        """(row, present): the node's row of its step's rule outcome, as
+        ``engine.on_step_deadline`` applies it, and in a coin phase the
+        per-node flags of having counted any vote (None outside coin phases).
+
+        The rules run for every node of the step at once, at the first
+        deadline that needs them.  A batch is reused while the step's tally
+        is the one it was computed from; a late row recomputes the tally,
+        and the nodes still at the step then get a new batch, as does a
+        node that reaches the step after the batch was made.
+        """
         pool = self.pool(step_key)
         deadlines = self.deadlines_for(step_key)
-        if step_key[0] == "mgc":
-            return pool.tally(deadlines, len(self.params.interner))[node], None
-        counts = pool.tally(deadlines, engine.VOTE_VALUES)[node]
-        coin = None
-        if step_key[2] == mbba.PHASE_COIN:
+        num_values = len(self.params.interner) if step_key[0] == "mgc" else engine.VOTE_VALUES
+        counts = pool.tally(deadlines, num_values)
+        batch = self._batches.get(step_key)
+        if batch is None or batch[0] is not counts or node not in batch[2]:
+            batch = self._batches[step_key] = self._rule_batch(step_key, pool, deadlines, counts)
+        return batch[2][node], batch[1]
+
+    def _rule_batch(self, step_key, pool: Pool, deadlines, counts) -> tuple:
+        """Rule outcome rows for every node at ``step_key`` that has not
+        halted.  Only a node's own events change its state, so each row
+        holds until that node's deadline."""
+        members = [v for v, s in self.states.items() if s.step == step_key and not s.halted]
+        coins = present = None
+        if step_key[0] == "mbba" and step_key[2] == mbba.PHASE_COIN:
             mins, present = pool.min_vrf(deadlines)
-            if present[node]:
-                coin = int(mins[node])
-        return counts, coin
+            coins = mbba.coin_bit(mins, present)
+        # Bound the (nodes, m, V) temporaries of one rule call.
+        per_call = max(1, RULE_CELLS // counts[0].size)
+        rows: dict[int, tuple] = {}
+        for start in range(0, len(members), per_call):
+            chunk = members[start:start + per_call]
+            outcome = engine.step_outcomes(
+                self.params, step_key, [self.states[v] for v in chunk], counts[chunk],
+                None if coins is None else coins[chunk],
+            )
+            rows.update(zip(chunk, zip(*outcome)))
+        return counts, present, rows
 
     def _maybe_adopt_from_finals(self, node: int, t_abs: float):
         """Straggler catch-up from the accumulating final pool.
@@ -647,6 +787,12 @@ class InstanceRunner:
         pool = self.pools.get(engine.FINAL_STEP)
         state = self.states[node]
         if pool is None or len(pool.digests) < self.params.t_adopt:
+            return None
+        # The check below acts only on a content held t_adopt times, or
+        # t_cert times once the node halted.  When no content can get there
+        # even with its queued rows counted as held, it needs no delivery.
+        if not pool.may_hold(node, t_abs, self.params.t_cert if state.halted
+                             else self.params.t_adopt):
             return None
         census = []
         for key, (votes, arrivals) in pool.final_groups().items():
@@ -675,12 +821,14 @@ class InstanceRunner:
         for v in range(net.n):
             heapq.heappush(heap, (float(self.start_abs[v]), v, ("start",)))
         liveness: list[int] = []
+        cut_at = None
         while heap:
             t, v, key = heapq.heappop(heap)
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 continue  # node unreachable from every honest relay
             if t > horizon:
                 net.trace.add(t, net.local(v, t), v, "timeout-horizon", self.label, "-", 0, "")
+                cut_at = horizon
                 break
             state = self.states[v]
             if key == ("start",):
@@ -692,6 +840,8 @@ class InstanceRunner:
                 t_next = self.start_abs[v] + engine.step_index(state.step) * self.step_len
                 heapq.heappush(heap, (float(t_next), v, state.step))
         result = self._finish(liveness)
+        result.cut_at = cut_at
+        net.deliver()  # the rest of the queue: the sends still move FIFO floors
         if result.certified:
             net.offsets = result.assembly_times.copy()
         return result
@@ -708,13 +858,13 @@ class InstanceRunner:
             # Decided bits keep being echoed with final flags until the
             # node holds a certificate, so stragglers can catch up.
             return engine.on_echo_deadline(state) or []
-        counts, coin = self.node_tally(key, v)
-        if key[0] == "mbba" and key[2] == mbba.PHASE_COIN and coin is None:
+        row, present = self.step_outcome(key, v)
+        if present is not None and not present[v]:
             net.trace.add(t, net.local(v, t), v, "note", self.label,
                           engine.step_label(key), 0, "", "empty coin phase")
         decisions_before = len(state.decision_log)
         try:
-            plans = engine.on_step_deadline(state, key, counts, coin)
+            plans = engine.on_step_deadline(state, key, row)
         except mbba.LivenessError as exc:
             liveness.append(v)
             net.trace.add(t, net.local(v, t), v, "liveness-failure", self.label,

@@ -327,11 +327,12 @@ class SimulateResult:
         lines = []
         for k, res in enumerate(self.results):
             missing = [str(v) for v in honest if v not in res.outputs]
+            cut = "" if res.cut_at is None else f"the horizon cut the run at t={res.cut_at:g}"
             if not res.certified:
-                lines.append(f"instance {k}: liveness failure, no certified output")
+                lines.append(f"instance {k}: {cut or 'liveness failure'}, no certified output")
             elif missing:
                 lines.append(f"instance {k}: certified, but honest node(s) "
-                             f"{', '.join(missing)} hold no output")
+                             f"{', '.join(missing)} hold no output" + (f" ({cut})" if cut else ""))
         return lines
 
     @property

@@ -58,15 +58,16 @@ class ValueInterner:
     """Per-instance mapping of component values to small dense ids.
 
     Id 0 is reserved for BOT.  Ids are assigned in first-seen order, which
-    the instance machinery keeps deterministic.  Each value id carries the
-    digest of its canonical encoding; the digest ordering is the protocol's
-    deterministic tie-break.
+    the instance machinery keeps deterministic.  Each value id carries its
+    canonical encoding, made once, and that encoding's digest; the digest
+    ordering is the protocol's deterministic tie-break.
     """
 
     def __init__(self):
         self._by_bytes: dict[bytes, int] = {}
         self.values: list[bytes | None] = [None]
-        self.digests: list[bytes] = [crypto.digest(encode_value(None))]
+        self.encodings: list[bytes] = [encode_value(None)]
+        self.digests: list[bytes] = [crypto.digest(self.encodings[0])]
 
     def intern(self, value: bytes | None) -> int:
         if value is None:
@@ -77,7 +78,8 @@ class ValueInterner:
             vid = len(self.values)
             self._by_bytes[value] = vid
             self.values.append(value)
-            self.digests.append(crypto.digest(encode_value(value)))
+            self.encodings.append(encode_value(value))
+            self.digests.append(crypto.digest(self.encodings[-1]))
         return vid
 
     def intern_vector(self, values: list[bytes | None]) -> list[int]:

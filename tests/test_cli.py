@@ -291,3 +291,17 @@ def test_chain_failures_end_in_a_named_exit_code(tmp_path, capsys, config, code,
     assert cli.main(["chain", "--config", path, "--unsafe-byzantine"]) == code
     err = capsys.readouterr().err
     assert err == reason + "\n" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, reason", [
+    ("simulate", {"mode": "simulate", "n": 16, "committee": 16, "topology": "complete", "m": 2,
+                  "seed": 1, "horizon": 3.0},
+     "run seed=1: instance 0: the horizon cut the run at t=3, no certified output"),
+    ("chain", {"mode": "chain", "n": 16, "topology": "complete", "num_shards": 1,
+               "num_slots": 3, "seed": 1, "horizon": 60.0},
+     "chain halted: slot 2 of epoch 0 failed to certify: the horizon cut it at t=60"),
+])
+def test_a_horizon_cut_is_named(tmp_path, capsys, command, config, reason):
+    path = write_config(tmp_path, "cut.json", config)
+    assert cli.main([command, "--config", path]) == cli.EXIT_LIVENESS
+    assert capsys.readouterr().err == reason + "\n"

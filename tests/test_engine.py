@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cobsim import crypto, engine, mbba, netsim
+from cobsim import crypto, engine, mbba, netsim, values
 from cobsim.crypto import KeyRegistry
 from cobsim.engine import CobInstanceId, CobParams
 
@@ -24,6 +24,18 @@ def counts_for(params, payload):
     return c
 
 
+def deadline(state, key, counts, coin_min_vrf=None):
+    """Pass one deadline as the runner does, for this node alone: the step's
+    rules over its (m, V) tally, then its row applied.  ``coin_min_vrf`` is
+    the minimum sortition output among the coin-phase votes counted."""
+    coins = None
+    if key[0] == "mbba" and key[2] == mbba.PHASE_COIN:
+        present = coin_min_vrf is not None
+        coins = mbba.coin_bit(np.array([coin_min_vrf or 0], dtype=np.uint64), present)
+    outcome = engine.step_outcomes(state.params, key, [state], counts[None], coins)
+    return engine.on_step_deadline(state, key, tuple(part[0] for part in outcome))
+
+
 def graded_node(m=2, n=1, tag=b"lifecycle"):
     """A node past the three graded steps, each tallying only its own
     message, so every component has grade 2 and bit 0."""
@@ -31,7 +43,7 @@ def graded_node(m=2, n=1, tag=b"lifecycle"):
     state = engine.cob_start(params, 0, [bytes([65 + c]) for c in range(m)])
     payload = state.observation
     for step in (1, 2, 3):
-        sends = engine.on_step_deadline(state, ("mgc", step), counts_for(params, payload))
+        sends = deadline(state, ("mgc", step), counts_for(params, payload))
         payload = sends[0].row if step < 3 else None
     assert state.step == ("mbba", 0, 0)
     return state
@@ -99,7 +111,7 @@ def test_full_instance_unanimous_fast_path():
     net = make_network(n=20, seed=3)
     bootstrap(net, seed=3)
     res, _ = run_instance(net, 1, [[b"x"]] * 20)
-    assert res.certified
+    assert res.certified and res.cut_at is None
     assert res.bits == (0,)
     assert len(res.outputs) == 20
     assert all(out.values == [b"x"] for out in res.outputs.values())
@@ -198,17 +210,17 @@ def test_single_node_lifecycle_contract():
     own = np.array(params.interner.intern_vector([b"x", b"y"]), dtype=np.int32)
 
     with pytest.raises(ValueError):
-        engine.on_step_deadline(state, ("mgc", 2), counts_for(params, own))
-    sends = engine.on_step_deadline(state, ("mgc", 1), counts_for(params, own))
+        deadline(state, ("mgc", 2), counts_for(params, own))
+    sends = deadline(state, ("mgc", 1), counts_for(params, own))
     assert sends[0].step_key == ("mgc", 2) and state.output is None
     for step in (2, 3):
-        sends = engine.on_step_deadline(state, ("mgc", step), counts_for(params, sends[0].row))
+        sends = deadline(state, ("mgc", step), counts_for(params, sends[0].row))
     assert state.grades.tolist() == [2, 2]
     assert state.bits.tolist() == [0, 0]
     assert state.step == ("mbba", 0, 0)
     assert sends[0].row.tolist() == [0, 0]  # bit 0, no flag
     # phase 0 with its own zero-vote reaches the degenerate quorum of one
-    sends = engine.on_step_deadline(state, ("mbba", 0, 0), vote_counts([1, 1], [0, 0]))
+    sends = deadline(state, ("mbba", 0, 0), vote_counts([1, 1], [0, 0]))
     assert state.halted
     assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
     assert sends[0].row.tolist() == [0, 0]  # the final carries the bits alone
@@ -227,7 +239,7 @@ def test_vote_rows_decode_as_bits_and_flags():
     row = engine.vote_row([1, 1], [1, 0])
     counts = np.zeros((2, engine.VOTE_VALUES), dtype=np.int32)
     counts[np.arange(2), row] = 1
-    engine.on_step_deadline(state, ("mbba", 0, 0), counts)
+    deadline(state, ("mbba", 0, 0), counts)
     assert state.bits.tolist() == [1, 1]
     assert state.decided.tolist() == [True, False]
     assert state.decision_log == [(0, 0, 0, 1)]
@@ -240,7 +252,7 @@ def test_iteration_cap_aborts_with_liveness_error():
     starved = vote_counts([1], [1])
     with pytest.raises(mbba.LivenessError) as err:
         for _ in range(3 * mbba.ITERATION_CAP + 3):
-            engine.on_step_deadline(state, state.step, starved, 2)
+            deadline(state, state.step, starved, 2)
     assert "iteration cap" in str(err.value)
     assert state.step is None and state.output is None
 
@@ -342,8 +354,10 @@ def test_horizon_exceeded_leaves_partial_trace_marker():
     inst = CobInstanceId(b"testchain", 0, 9, "slot_timing")
     params = CobParams(inst, 1, _crypto.digest(b"hz"), net.registry, net.n)
     runner = netsim.InstanceRunner(net, params, [[b"x"]] * 10)
-    res = runner.run(horizon=float(net.offsets.min()) + 0.5 * runner.step_len)
+    horizon = float(net.offsets.min()) + 0.5 * runner.step_len
+    res = runner.run(horizon=horizon)
     assert not res.certified
+    assert res.cut_at == horizon
     assert any(r[3] == "timeout-horizon" for r in net.trace.records)
 
 
@@ -361,3 +375,15 @@ def test_ablation_leaves_output_unchanged():
         res, _ = run_instance(net, 2, [[b"x", b"y"]] * 24)
         others = [v for v in res.outputs if v != victim]
         assert all(res.outputs[v].encode_identity() == base_ident for v in others)
+
+
+def test_mgc_wire_format_joins_the_interned_encodings():
+    params = make_params(m=4)
+    row = np.array(params.interner.intern_vector([b"a", None, b"a" * 64, b"zz"]), dtype=np.int32)
+    proof = params.draw(("mgc", 2), 5)
+    encoded = engine.encode_mgc_message(params, 2, 5, row, proof)
+    assert encoded == (
+        params.digest + (5).to_bytes(4, "big") + bytes([2]) + params.m.to_bytes(2, "big")
+        + values.encode_vector([b"a", None, b"a" * 64, b"zz"]) + proof.encode()
+    )
+    assert params.interner.encodings == [values.encode_value(v) for v in params.interner.values]

@@ -102,31 +102,42 @@ def test_tally_matches_reference_fuzz():
 
 
 def test_delivery_matches_reference_fuzz():
+    # Every row of a batched call is the message sampled alone.  One call
+    # mixes hop depths, unreachable destinations and origin-only rows, each
+    # row with its own send time, seed and cap; the batch sizes run from one
+    # row to a grid far larger than one delivery chunk.
     rng = np.random.default_rng(43)
-    seen = {"unreachable": 0, "clamped": 0, "origin only": 0, "8+ hops unclamped": 0}
-    for i in range(400):
+    seen = {"unreachable": 0, "clamped": 0, "origin only": 0, "8+ hops unclamped": 0,
+            "mixed depths": 0}
+    for i in range(160):
         n = int(rng.integers(1, 100))
-        hops = rng.integers(-1, int(rng.choice([3, 9, 24])), n).astype(np.int32)
-        if i % 10 == 0:
-            hops = np.minimum(hops, 0)
-        seed = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
-        t0 = float(rng.uniform(0, 1000))
+        k = 1 if i % 8 == 0 else 64 if i % 8 == 1 else int(rng.integers(2, 12))
+        depth = rng.choice([1, 3, 9, 24], size=k)
+        hops = (rng.integers(-1, 2**20, (k, n)) % (depth[:, None] + 1) - 1).astype(np.int32)
+        hops[rng.random(k) < 0.1] = np.minimum(hops[0], 0)  # origin-only rows
+        seeds = [int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2)) for _ in range(k)]
+        t0 = rng.uniform(0, 1000, k)
         d_min = float(rng.uniform(0, 0.05))
         d_max = d_min + float(rng.uniform(0, 0.2))
         # the bound of the deepest path, give or take: some paths clamp, most do not
-        cap = float(rng.uniform(0.5, 1.5)) * d_max * max(1, int(hops.max()))
-        want = reference_delivery_times(t0, hops.tolist(), seed, d_min, d_max, cap)
-        assert np.array_equal(_kernels.delivery_times(t0, hops, seed, d_min, d_max, cap), want)
-        seen["unreachable"] += bool((hops < 0).any())
-        seen["clamped"] += bool((want == t0 + cap).any())
-        seen["origin only"] += int(hops.max()) <= 0
-        seen["8+ hops unclamped"] += bool(((hops >= 8) & (want < t0 + cap)).any())
+        caps = rng.uniform(0.5, 1.5, k) * d_max * np.maximum(1, hops.max(axis=1))
+        got = _kernels.delivery_times(t0, hops, seeds, d_min, d_max, caps)
+        assert got.shape == (k, n)
+        for r in range(k):
+            want = reference_delivery_times(t0[r], hops[r].tolist(), seeds[r], d_min, d_max,
+                                            caps[r])
+            assert np.array_equal(got[r], want), (i, r)
+            seen["unreachable"] += bool((hops[r] < 0).any())
+            seen["clamped"] += bool((want == t0[r] + caps[r]).any())
+            seen["origin only"] += int(hops[r].max()) <= 0
+            seen["8+ hops unclamped"] += bool(((hops[r] >= 8) & (want < t0[r] + caps[r])).any())
+        seen["mixed depths"] += len(set(hops.max(axis=1).tolist())) > 2
     assert min(seen.values()) >= 10, seen
 
 
 def test_delivery_semantics():
-    hops = np.array([0, 1, 3, -1], dtype=np.int32)
-    out = np.asarray(_kernels.delivery_times(5.0, hops, 99, 0.01, 0.02, 10.0))
+    hops = np.array([[0, 1, 3, -1]], dtype=np.int32)
+    out = _kernels.delivery_times([5.0], hops, [99], 0.01, 0.02, [10.0])[0]
     assert out[0] == 5.0  # origin
     assert 5.01 <= out[1] <= 5.02
     assert 5.03 <= out[2] <= 5.06
@@ -134,8 +145,8 @@ def test_delivery_semantics():
 
 
 def test_delivery_clamped_to_cap():
-    hops = np.array([50], dtype=np.int32)
-    out = np.asarray(_kernels.delivery_times(0.0, hops, 7, 0.1, 0.2, 1.0))
+    hops = np.array([[50]], dtype=np.int32)
+    out = _kernels.delivery_times([0.0], hops, [7], 0.1, 0.2, [1.0])[0]
     assert out[0] == 1.0
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cobsim import mbba, netsim
+from cobsim import crypto, mbba, netsim
+
+from conftest import make_network
 
 
 def oracle_transition(bit, decided, phase, z, o, fz, fo, t_high, coin):
@@ -111,16 +113,54 @@ def test_transition_matches_oracle_exhaustively():
 def test_common_coin_from_minimum_output():
     assert mbba.coin_bit(0b10110) == 0
     assert mbba.coin_bit(0b10111) == 1
-    # the minimum is taken per node over the coin-phase votes it holds
-    pool = netsim.Pool(n=2, m=1)
+    # The minimum is taken per node over the coin-phase votes it holds.
+    # Origin 0 sends 7 and 3 at t=1, which reach node 1 a hop later, after
+    # its deadline at t=1; origin 1 sends 12 and 98 at t=0.
+    net = make_network(n=2, topology="complete", seed=1)
+    pool = netsim.Pool(net, m=1)
+    sent = []
     for k, vrf in enumerate([7, 12, 3, 98]):
-        arrivals = np.array([1.0, 5.0 if vrf in (3, 7) else 1.0])
+        origin = 0 if vrf in (3, 7) else 1
+        digest = crypto.digest(bytes([k]))
+        sent.append(net.send(origin, 1.0 - origin, 100, digest))
         vrf_out = vrf.to_bytes(8, "big") + bytes(24)  # the coin reads the leading 64 bits
-        pool.add(k, np.zeros(1, dtype=np.int32), arrivals, bytes([k]), vrf_out)
-    mins, present = pool.min_vrf(np.array([2.0, 2.0]))
+        assert pool.add(k, np.zeros(1, dtype=np.int32), sent[-1], digest, vrf_out)
+    assert all(d.row is None for d in sent)  # queued until a read needs the rows
+    mins, present = pool.min_vrf(np.array([2.0, 1.0]))
+    assert [d.row[1] > 1.0 for d in sent] == [True, False, True, False]
     assert present.all()
     assert mins.tolist() == [3, 12]
     assert [mbba.coin_bit(int(v)) for v in mins] == [1, 0]
+    assert mbba.coin_bit(mins, present).tolist() == [1, 0]
+    assert mbba.coin_bit(mins, np.array([False, True])).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("phase", [mbba.PHASE_FIX0, mbba.PHASE_FIX1, mbba.PHASE_COIN])
+def test_one_call_over_nodes_equals_single_rows(phase):
+    # The runner applies one phase to every node of a step in one call, each
+    # node with its own coin: row i must be node i's single-row result.
+    rng = np.random.default_rng(11 + phase)
+    k, m, t_high = 40, 6, 3
+    bits = rng.integers(0, 2, (k, m)).astype(np.int8)
+    decided = rng.random((k, m)) < 0.3
+    counts = rng.integers(0, 5, (k, m, 4))
+    fz, fo = counts[..., 2], counts[..., 3]
+    zeros, ones = counts[..., 0] + fz, counts[..., 1] + fo
+    coins = rng.integers(0, 2, k) if phase == mbba.PHASE_COIN else None
+    batch = mbba.phase_transition(bits, decided, phase, zeros, ones, fz, fo, t_high, coins)
+    herded = 0
+    for i in range(k):
+        coin = None if coins is None else int(coins[i])
+        single = mbba.phase_transition(bits[i], decided[i], phase, zeros[i], ones[i],
+                                       fz[i], fo[i], t_high, coin)
+        for got, want in zip(batch, single):
+            assert np.array_equal(got[i], want), i
+        if coin is not None:
+            other = mbba.phase_transition(bits[i], decided[i], phase, zeros[i], ones[i],
+                                          fz[i], fo[i], t_high, 1 - coin)
+            herded += not np.array_equal(other[0], single[0])
+    if phase == mbba.PHASE_COIN:
+        assert herded > 5  # the per-node coin decides some rows
 
 
 def test_common_coin_empty_is_liveness_fault():

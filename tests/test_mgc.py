@@ -160,3 +160,21 @@ def test_vectorized_shapes():
     assert out.shape == (4, 3)
     theta, grades = mgc.finalize(counts, np.array([2, 0, 1]), 6, 3)
     assert theta.shape == grades.shape == (4, 3)
+
+
+def test_one_call_over_nodes_equals_single_rows():
+    # The runner applies steps 2 and 3 to every node of a step in one call
+    # over its (k, m, V) tallies: row i must be node i's single-row result.
+    rng = np.random.default_rng(9)
+    k, m, nv = 30, 5, 6
+    counts = rng.integers(0, 8, (k, m, nv)).astype(np.int32)
+    counts[: k // 3, :, 1] = 20  # a value clears 2/3 on these rows
+    ranks = rng.permutation(nv)
+    echo = mgc.echo_filter(counts)
+    theta, grades = mgc.finalize(counts, ranks, 9, 4)
+    for i in range(k):
+        assert np.array_equal(echo[i], mgc.echo_filter(counts[i]))
+        single = mgc.finalize(counts[i], ranks, 9, 4)
+        assert np.array_equal(theta[i], single[0]) and np.array_equal(grades[i], single[1])
+    assert (echo > 0).any() and (echo == 0).any()
+    assert set(np.unique(grades).tolist()) == {0, 1, 2}

@@ -3,7 +3,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from cobsim import _kernels, crypto, engine, netsim, scenario
+from cobsim import _kernels, crypto, engine, mbba, netsim, scenario
 
 from conftest import make_network
 from test_golden import SCALE_N100, corpus
@@ -12,22 +12,29 @@ from test_golden import SCALE_N100, corpus
 def spy_pool_rows(monkeypatch) -> dict:
     """Record every row a ``Pool`` accepts, in arrival order, keyed by the pool.
 
-    Each entry is (sender, payload row, delivery row, sortition output), as
-    the runner offered it; the pool's own storage is not consulted.  Keying
+    Each entry is (sender, payload row, delivery, sortition output), as the
+    runner offered it; the pool's own storage is not consulted.  The
+    delivery's ``row`` is set once the network delivers its queue.  Keying
     by the pool keeps it alive, so no later pool can share its key.
     """
     rows: dict[netsim.Pool, list] = {}
     add = netsim.Pool.add
 
-    def spy(pool, sender, payload_row, delivery_row, digest, vrf_out):
-        accepted = add(pool, sender, payload_row, delivery_row, digest, vrf_out)
+    def spy(pool, sender, payload_row, delivery, digest, vrf_out):
+        accepted = add(pool, sender, payload_row, delivery, digest, vrf_out)
         if accepted:
-            rows.setdefault(pool, []).append(
-                (sender, payload_row, np.array(delivery_row), vrf_out))
+            rows.setdefault(pool, []).append((sender, payload_row, delivery, vrf_out))
         return accepted
 
     monkeypatch.setattr(netsim.Pool, "add", spy)
     return rows
+
+
+def deliver_one(net, origin, t_send, size, digest, dest_mask=None, delay=0.0):
+    """Queue one message, deliver the queue and return the message's row."""
+    sent = net.send(origin, t_send, size, digest, dest_mask, delay)
+    net.deliver()
+    return sent.row
 
 
 def test_topology_families_connected():
@@ -145,7 +152,7 @@ def test_hop_matrix_matches_per_origin_bfs(monkeypatch):
 
 def test_gossip_complete_graph_delivers_once():
     net = make_network(n=3, topology="complete", seed=1)
-    row = net.deliver(0, 0.0, 100, crypto.digest(b"m"))
+    row = deliver_one(net, 0, 0.0, 100, crypto.digest(b"m"))
     assert row[0] == 0.0
     assert np.isfinite(row[1]) and np.isfinite(row[2])
     assert (row[1:] <= net.lam(100)).all()
@@ -153,7 +160,7 @@ def test_gossip_complete_graph_delivers_once():
 
 def test_gossip_ring_respects_bound():
     net = make_network(n=10, topology="ring", seed=2)
-    row = net.deliver(0, 5.0, 200, crypto.digest(b"ring"))
+    row = deliver_one(net, 0, 5.0, 200, crypto.digest(b"ring"))
     assert (row - 5.0 <= net.lam(200) + 1e-12).all()
     # farthest node needs 5 hops; nearer nodes arrive sooner
     assert row[5] >= row[1]
@@ -166,7 +173,7 @@ def test_gossip_random_graphs_bound_and_coverage():
         net = make_network(n=n, seed=trial + 100,
                            topology=("watts_strogatz", "geometric")[trial % 2])
         size = int(rng.integers(50, 4000))
-        row = net.deliver(int(rng.integers(0, n)), 0.0, size, crypto.digest(bytes([trial])))
+        row = deliver_one(net, int(rng.integers(0, n)), 0.0, size, crypto.digest(bytes([trial])))
         assert np.isfinite(row).all()  # every honest node reached
         assert (row <= net.lam(size) + 1e-12).all()
 
@@ -175,7 +182,7 @@ def test_fifo_per_origin_destination():
     net = make_network(n=12, seed=4)
     rows = []
     for k in range(6):
-        rows.append(net.deliver(0, 0.05 * k, 80, crypto.digest(b"fifo", bytes([k]))))
+        rows.append(deliver_one(net, 0, 0.05 * k, 80, crypto.digest(b"fifo", bytes([k]))))
     for a, b in zip(rows, rows[1:]):
         assert (b >= a).all()
 
@@ -184,7 +191,7 @@ def test_relay_closure_bounds_byzantine_masking():
     net = make_network(n=10, byz={0}, seed=5)
     mask = np.zeros(10, dtype=bool)
     mask[3] = True  # delivered directly only to node 3
-    row = net.deliver(0, 1.0, 100, crypto.digest(b"mask"), dest_mask=mask)
+    row = deliver_one(net, 0, 1.0, 100, crypto.digest(b"mask"), dest_mask=mask)
     assert np.isfinite(row[3])
     # relays reach everyone within lambda of the first honest receipt
     assert np.isfinite(row[net.honest_mask]).all()
@@ -294,7 +301,7 @@ def test_deep_topology_scales_hop_delays():
     # stays inside the diffusion bound without clamping
     net = make_network(n=30, topology="ring", d_max=0.2, lam_base=1.0, seed=7)
     assert net.d_max * 15 <= net.lam_base + 1e-12
-    row = net.deliver(0, 0.0, 10, crypto.digest(b"deep"))
+    row = deliver_one(net, 0, 0.0, 10, crypto.digest(b"deep"))
     assert (row <= net.lam(10)).all()
 
 
@@ -403,6 +410,8 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
     monkeypatch.setattr(engine.Certificate, "__init__", spy_init)
     result = scenario.run_simulate(cfg)
     assert result.ok and len(runs) == 2  # bootstrap and the configured instance
+    # the cut instance certified first, so it keeps its outputs and is no failure
+    assert runs[1][1].cut_at == 21.44 and runs[1][1].certified
 
     late = 0
     for runner, res in runs:
@@ -410,7 +419,7 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
         first = {}  # sender -> (signature, delivery row) of its first certified final
         for sender, payload, delivery, _ in rows[runner.pools[engine.FINAL_STEP]]:
             if (payload[0], payload[1]) == (bytes(res.bits), res.theta_digest):
-                first.setdefault(sender, (payload[2], delivery))
+                first.setdefault(sender, (payload[2], delivery.row))
         for v in map(int, np.flatnonzero(net.honest_mask)):
             t = adopted_at.get((id(runner), v))
             if t is None:
@@ -441,14 +450,19 @@ def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
     # rows reach a step pool after its first tally.  At every node's
     # deadline each step pool must count exactly what the kernel counts over
     # the raw rows, sorted by sender with a stable sort, and its coin
-    # minimum must be the plain minimum over the timely rows.
+    # minimum must be the plain minimum over the timely rows.  The row the
+    # node applies, taken from the step's batch, must be what the rules give
+    # for that node's tally alone.
     rows = spy_pool_rows(monkeypatch)
-    node_tally = netsim.InstanceRunner.node_tally
+    step_outcome = netsim.InstanceRunner.step_outcome
     seen = {}  # pool -> rows present at its first check
-    late = multi = 0
+    late = multi = rebatched = 0
 
     def spy(runner, step_key, node):
-        tally = node_tally(runner, step_key, node)
+        nonlocal late, multi, rebatched
+        batch = runner._batches.get(step_key)
+        row, present = step_outcome(runner, step_key, node)
+        rebatched += batch is not None and runner._batches[step_key] is not batch
         pool = runner.pools[step_key]
         raw = rows.get(pool, [])
         deadlines = runner.deadlines_for(step_key)
@@ -456,24 +470,120 @@ def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
         senders = np.array([sender for sender, *_ in raw], dtype=np.int32)
         order = np.argsort(senders, kind="stable")
         payloads = np.array([payload for _, payload, *_ in raw], dtype=np.int32)
-        deliveries = np.array([delivery for _, _, delivery, _ in raw])
+        deliveries = np.array([delivery.row for _, _, delivery, _ in raw])
         want = _kernels.tally_votes(
             deliveries.reshape(len(raw), runner.net.n)[order], deadlines, senders[order],
             payloads.reshape(len(raw), runner.params.m)[order], num_values)
         assert np.array_equal(pool.tally(deadlines, num_values), want)
-        mins, present = pool.min_vrf(deadlines)
+        mins, present_now = pool.min_vrf(deadlines)
+        coins = None
         for v in range(runner.net.n):
             timely = [crypto.u64_from(vrf) for _, _, delivery, vrf in raw
-                      if delivery[v] <= deadlines[v]]
-            assert bool(present[v]) == bool(timely)
+                      if delivery.row[v] <= deadlines[v]]
+            assert bool(present_now[v]) == bool(timely)
             if timely:
                 assert int(mins[v]) == min(timely)
-        nonlocal late, multi
+        if present is not None:
+            assert np.array_equal(present, present_now)
+            coins = mbba.coin_bit(mins[[node]], present_now[[node]])
+        state = runner.states[node]
+        alone = engine.step_outcomes(runner.params, step_key, [state], want[[node]], coins)
+        assert len(row) == len(alone)
+        for got, single in zip(row, alone):
+            assert np.array_equal(got, single[0]), (step_key, node)
         late += seen.setdefault(pool, len(raw)) != len(raw)
         multi += len(set(senders.tolist())) < len(raw)
-        return tally
+        return row, present
 
-    monkeypatch.setattr(netsim.InstanceRunner, "node_tally", spy)
+    monkeypatch.setattr(netsim.InstanceRunner, "step_outcome", spy)
     scenario.run_simulate(corpus()[case])
     assert multi > 0
     assert (late > 0) == late_rows
+    # A late row, or a junk value interned after the first tally, recomputes
+    # a tally; the nodes still at the step then get a new batch.
+    assert rebatched > 0
+
+
+def reference_rows(net, sends, floor_skips=()):
+    """Each queued send delivered alone, in send order: the per-message model.
+
+    Sends at the positions in ``floor_skips`` leave their origin's FIFO
+    floor alone, which shows whether those sends matter at all.
+    """
+    floor, rows = {}, []
+    for i, d in enumerate(sends):
+        row = _kernels.delivery_times([d.t_send], net.hops[[d.origin]], [d.seed],
+                                      net.d_min, net.d_max, [d.cap])[0]
+        if d.dest_mask is not None:
+            keep = np.array(d.dest_mask, dtype=bool)
+            keep[d.origin] = True
+            row[~keep] = np.inf
+        if d.origin in net.byz:
+            direct = row[net.honest_mask]
+            if np.isfinite(direct).any():
+                row = np.minimum(row, direct.min() + d.cap)
+        else:
+            if d.origin in floor:
+                row = np.maximum(row, floor[d.origin])
+            if i not in floor_skips:
+                floor[d.origin] = row
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("cells", [netsim.DELIVERY_CELLS, 64])
+def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
+    # A random send sequence through the runner: honest and byzantine
+    # origins, repeated origins, destination masks, delays, and re-sends of
+    # an earlier message that the pool rejects as duplicates.  Delivered
+    # after every send or once at the end, in one chunk or many, each row is
+    # the one the message gets when sent alone at its turn, and each pool
+    # holds the rows of the sends it accepted.
+    monkeypatch.setattr(netsim, "DELIVERY_CELLS", cells)
+    sends: list[netsim.Delivery] = []
+    send = netsim.Network.send
+
+    def spy(net, *args):
+        sends.append(send(net, *args))
+        return sends[-1]
+
+    monkeypatch.setattr(netsim.Network, "send", spy)
+    runs = []
+    for flush_each in (True, False):
+        sends.clear()
+        net = make_network(n=12, byz={2, 7}, seed=5)
+        params = engine.CobParams(engine.CobInstanceId(b"q", 0, 0, "slot_timing"), 3,
+                                  crypto.digest(b"queue"), net.registry, net.n)
+        runner = netsim.InstanceRunner(net, params, [[b"a", b"b", b"c"]] * net.n)
+        rng = np.random.default_rng(8)
+        t, emitted, duplicates = 0.0, [], []
+        for i in range(160):
+            if emitted and i % 9 == 4:
+                node, _, plan = emitted[int(rng.integers(0, len(emitted)))]
+                duplicates.append(len(sends))
+                runner._emit(node, t + float(rng.uniform(0.0, 0.5)), plan)  # a later re-send
+            else:
+                node = int(rng.choice([0, 1, 2, 3, 7, 0, 1]))
+                t += float(rng.choice([0.0, 0.01, 0.2]))
+                key = ("mbba", int(rng.integers(0, 2)), int(rng.integers(0, 3)))
+                row = engine.vote_row(rng.integers(0, 2, 3), rng.integers(0, 2, 3))
+                mask = rng.random(net.n) < 0.5 if node in net.byz and i % 3 == 0 else None
+                delay = float(rng.uniform(0, 0.3)) if node in net.byz and i % 5 == 0 else 0.0
+                plan = engine.SendPlan(key, row, params.draw(key, node), None, mask, delay)
+                emitted.append((node, t, plan))
+                runner._emit(node, t, plan)
+            if flush_each:
+                net.deliver()
+        net.deliver()
+        want = reference_rows(net, sends)
+        assert all(np.array_equal(d.row, w) for d, w in zip(sends, want))
+        for pool in runner.pools.values():
+            kept = [d.row for d in sends if d.into is pool.deliveries]
+            assert np.array_equal(pool.deliveries.view(), np.array(kept))
+        # the rejected re-sends still move their origins' FIFO floors
+        rejected = [i for i in duplicates if sends[i].into is None]
+        assert len(rejected) == len(duplicates) > 5
+        skipped = reference_rows(net, sends, floor_skips=set(rejected))
+        assert any(not np.array_equal(a, b) for a, b in zip(want, skipped))
+        runs.append([d.row for d in sends])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
