@@ -109,6 +109,8 @@ class CobParams:
         self.digest = instance.digest()
         self.interner = ValueInterner()
         self._started: set[int] = set()
+        self._lotteries: dict[tuple, sortition.Lottery] = {}
+        self._outputs: dict[tuple[bytes, bytes], tuple[list, bytes]] = {}
 
     def step_seed(self, step_key) -> sortition.SortitionSeed:
         if step_key[0] == "mgc":
@@ -121,10 +123,31 @@ class CobParams:
             raise ValueError(f"bad step key {step_key}")
         return sortition.SortitionSeed(round_id, step_id, self.digest, self.entropy)
 
+    def lottery(self, step_key) -> sortition.Lottery:
+        """A step's sortition lottery, built once per step; the final step
+        seats everyone."""
+        step = self._lotteries.get(step_key)
+        if step is None:
+            tau = self.n if step_key == FINAL_STEP else self.tau
+            step = self._lotteries[step_key] = sortition.lottery(
+                self.step_seed(step_key), tau, self.n)
+        return step
+
     def draw(self, step_key, node: int) -> sortition.SortitionProof | None:
-        """The node's selection proof for a step; the final step seats everyone."""
-        tau = self.n if step_key == FINAL_STEP else self.tau
-        return sortition.draw(self.step_seed(step_key), node, self.registry, tau, self.n)
+        """The node's selection proof for a step."""
+        return sortition.draw(self.lottery(step_key), node, self.registry)
+
+    def output(self, theta: np.ndarray, bits) -> tuple[list, bytes]:
+        """(output values, output digest) of a node's theta (value ids) under
+        agreed ``bits``, memoised per (theta, bits): honest nodes share them.
+        Every caller gets the same values list, which none may modify."""
+        bits = np.asarray(bits, dtype=np.uint8).tobytes()
+        key = (np.asarray(theta, dtype=np.int32).tobytes(), bits)
+        hit = self._outputs.get(key)
+        if hit is None:
+            vals = output_values([self.interner.value(v) for v in theta.tolist()], bits)
+            hit = self._outputs[key] = (vals, output_digest(self.digest, bits, vals))
+        return hit
 
 
 def final_seed(instance_digest: bytes, entropy: bytes) -> sortition.SortitionSeed:
@@ -225,7 +248,7 @@ def verify_certificate(
     t_cert = mgc.supermajority(tau_final)
     seen = set()
     inst_digest = cert.instance.digest()
-    seed = final_seed(inst_digest, entropy)
+    step = sortition.lottery(final_seed(inst_digest, entropy), tau_final, population)
     valid = 0
     for vote in cert.supporters:
         if vote.node_id in seen:
@@ -233,7 +256,7 @@ def verify_certificate(
         seen.add(vote.node_id)
         if not 0 <= vote.node_id < registry.num_nodes:
             return fail(f"supporter {vote.node_id}: sortition output mismatch")
-        proof = sortition.draw(seed, vote.node_id, registry, tau_final, population)
+        proof = sortition.draw(step, vote.node_id, registry)
         if proof is None:
             return fail(f"supporter {vote.node_id}: not selected for the final step")
         if proof.pseudo_vrf_output != vote.pseudo_vrf_output:
@@ -319,9 +342,6 @@ class CobNodeState:
         self.output: CobOutput | None = None
         self.decision_log: list[tuple] = []  # (iteration, phase, component, bit)
 
-    def _theta_values(self) -> list[bytes | None]:
-        return [self.params.interner.value(int(v)) for v in self.theta]
-
 
 def cob_start(params: CobParams, node: int, observation: list[bytes | None]) -> CobNodeState:
     """Position a node at step 1 with its recorded observation."""
@@ -353,8 +373,7 @@ def _mbba_send(state: CobNodeState) -> list[SendPlan]:
 
 
 def _final_send(state: CobNodeState) -> list[SendPlan]:
-    out_vals = output_values(state._theta_values(), state.bits)
-    theta_dig = output_digest(state.params.digest, state.bits, out_vals)
+    _, theta_dig = state.params.output(state.theta, state.bits)
     state.final_payload = (bytes(int(b) for b in state.bits), theta_dig)
     proof = state.params.draw(FINAL_STEP, state.node)
     return [SendPlan(FINAL_STEP, state.bits.copy(), proof, theta_dig)]
@@ -501,8 +520,8 @@ def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Cert
         return True
     if state.theta is None:
         return False
-    out_vals = output_values(state._theta_values(), bits)
-    if output_digest(state.params.digest, bits, out_vals) != theta_digest:
+    out_vals, digest = state.params.output(state.theta, bits)
+    if digest != theta_digest:
         return False
     state.output = CobOutput(
         state.params.instance, out_vals, tuple(int(b) for b in bits), theta_digest, cert

@@ -48,7 +48,13 @@ again for the nodes still at that step.
 
 Every pool stores each accepted row once.  A step pool appends payload
 and delivery rows to two growing matrices, which its tally reads sorted
-by sender.  The final pool keeps only its census, built as votes arrive:
+by sender, and caches only its latest tally.  A step pool lives as long as
+its step: once the event loop pops a time past the step's latest deadline
+over all nodes, the runner releases the pool's rows, tally and sortition
+outputs and drops the step's rule batch.  Its digests stay, so a late
+duplicate is still rejected, and a late new send is still traced and
+queued, so it still moves its origin's FIFO floor; its row joins no
+matrix.  The final pool keeps only its census, built as votes arrive:
 per content (bits, theta digest), the first ``FinalVote`` of each sender
 and that vote's arrival times.  A straggler's catch-up check and the
 closing certificate assembly read one column of the arrivals and collect
@@ -369,17 +375,18 @@ class Pool:
     """All wire variants of one (instance, step), each row stored once.
 
     A step pool appends every accepted variant's payload and delivery row
-    to two growing matrices.  The final pool keeps only its census: per
-    content (bits, theta digest), the first ``FinalVote`` of each sender
-    and its arrival times.  A delivery row joins when the network delivers
-    its queue; every read that needs the rows delivers it first if one of
-    this pool's rows is still queued.
+    to two growing matrices, until ``release`` drops them.  The final pool
+    keeps only its census: per content (bits, theta digest), the first
+    ``FinalVote`` of each sender and its arrival times.  A delivery row
+    joins when the network delivers its queue; every read that needs the
+    rows delivers it first if one of this pool's rows is still queued.
     """
 
     def __init__(self, net: Network, m: int, final: bool = False):
         self.net = net
         self.n = net.n
         self.digests: set[bytes] = set()
+        self.released = False
         self._last: Delivery | None = None  # the latest send whose row this pool keeps
         self._census: dict[tuple, _Census] | None = None
         if final:
@@ -389,7 +396,7 @@ class Pool:
         self.vrf64: list[int] = []
         self.payloads = _Rows(m, np.int32)
         self.deliveries = _Rows(self.n, np.float64)
-        self._tallies: dict = {}
+        self._tally: tuple | None = None  # (key, counts) of the latest read
 
     def add(self, sender, payload_row, delivery: Delivery, digest, vrf_out: bytes) -> bool:
         """Pool one wire variant unless its digest is already here.
@@ -413,15 +420,31 @@ class Pool:
                 group.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
                 delivery.into, self._last = group.arrivals, delivery
             return True
+        if self.released:
+            return True
         self.senders.append(sender)
         self.vrf64.append(crypto.u64_from(vrf_out))
         self.payloads.append(payload_row)
         delivery.into, self._last = self.deliveries, delivery
-        self._tallies.clear()
+        self._tally = None
         return True
+
+    def release(self):
+        """Drop a step pool's rows, sortition outputs and tally once no
+        deadline can read them.  ``digests`` stay for duplicate suppression;
+        a queued row of this pool stays queued but joins no matrix."""
+        if self._last is not None and self._last.row is None:
+            for queued in self.net._queue:
+                if queued.into is self.deliveries:
+                    queued.into = None
+        self.released = True
+        self._last = self._tally = None
+        self.senders = self.vrf64 = self.payloads = self.deliveries = None
 
     def _settle(self):
         """Deliver the network's queue if a row of this pool is in it."""
+        if self.released:
+            raise RuntimeError("read of a released step pool")
         if self._last is not None and self._last.row is None:
             self.net.deliver()
 
@@ -446,17 +469,18 @@ class Pool:
         return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
 
     def tally(self, deadlines: np.ndarray, num_values: int) -> np.ndarray:
-        """(n, m, V) counts at per-node deadlines; one kernel call per step."""
+        """(n, m, V) counts at per-node deadlines; one kernel call per step.
+        Only the latest tally is kept: the interner only grows, so a step
+        read with more values never needs the older counts again."""
         self._settle()
         key = (float(deadlines[0]), num_values)
-        hit = self._tallies.get(key)
-        if hit is None:
+        if self._tally is None or self._tally[0] != key:
             senders = np.array(self.senders, dtype=np.int32)
             order = np.argsort(senders, kind="stable")
-            hit = kernels.tally_votes(self.deliveries.view()[order], deadlines, senders[order],
-                                      self.payloads.view()[order], num_values)
-            self._tallies[key] = hit
-        return hit
+            self._tally = key, kernels.tally_votes(
+                self.deliveries.view()[order], deadlines, senders[order],
+                self.payloads.view()[order], num_values)
+        return self._tally[1]
 
     def min_vrf(self, deadlines: np.ndarray):
         """(mins, present): per-node minimum sortition output among timely rows."""
@@ -690,13 +714,30 @@ class InstanceRunner:
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
         self._batches: dict[tuple, tuple] = {}  # step key -> (counts, present, rows by node)
+        finite = self.start_abs[np.isfinite(self.start_abs)]
+        self._last_start = float(finite.max()) if finite.size else -math.inf
+        self._open: list[tuple] = []  # (release time, step key) of the unreleased step pools
 
     def pool(self, step_key) -> Pool:
         p = self.pools.get(step_key)
         if p is None:
-            p = Pool(self.net, self.params.m, final=step_key == engine.FINAL_STEP)
-            self.pools[step_key] = p
+            final = step_key == engine.FINAL_STEP
+            p = self.pools[step_key] = Pool(self.net, self.params.m, final)
+            if not final:
+                heapq.heappush(self._open, (self.release_time(step_key), step_key))
         return p
+
+    def release_time(self, step_key) -> float:
+        """The step's latest deadline over all nodes; no read of its pool
+        comes later.  The final pool is never released."""
+        return self._last_start + engine.step_index(step_key) * self.step_len
+
+    def _release_before(self, t: float):
+        """Release every step pool whose release time is before ``t``."""
+        while self._open and self._open[0][0] < t:
+            key = heapq.heappop(self._open)[1]
+            self.pools[key].release()
+            self._batches.pop(key, None)
 
     def deadlines_for(self, step_key) -> np.ndarray:
         return self.start_abs + engine.step_index(step_key) * self.step_len
@@ -830,6 +871,7 @@ class InstanceRunner:
                 net.trace.add(t, net.local(v, t), v, "timeout-horizon", self.label, "-", 0, "")
                 cut_at = horizon
                 break
+            self._release_before(t)
             state = self.states[v]
             if key == ("start",):
                 net.trace.add(t, net.local(v, t), v, "timeout", self.label, "start", 0, "")
@@ -839,6 +881,7 @@ class InstanceRunner:
             if state.step is not None:
                 t_next = self.start_abs[v] + engine.step_index(state.step) * self.step_len
                 heapq.heappush(heap, (float(t_next), v, state.step))
+        self._release_before(math.inf)
         result = self._finish(liveness)
         result.cut_at = cut_at
         net.deliver()  # the rest of the queue: the sends still move FIFO floors

@@ -4,9 +4,10 @@ Each node is selected for a protocol step independently with probability
 tau/N, by comparing a keyed hash of the step seed against an integer
 threshold.  The construction is a pseudo-VRF: output = H(secret, seed),
 deterministic per (seed, node) and uniform across distinct seeds, so
-committee sizes are binomial exactly as the analysis assumes.  A proof is
-checked by drawing again: ``engine.verify_certificate`` does so for every
-supporter of a certificate.
+committee sizes are binomial exactly as the analysis assumes.  A step's
+``Lottery`` (its encoded seed and threshold) is built once and shared by
+every node's ``draw``.  A proof is checked by drawing again:
+``engine.verify_certificate`` does so for every supporter of a certificate.
 """
 
 from __future__ import annotations
@@ -69,20 +70,25 @@ def selection_threshold(expected_committee: float, population: int) -> int:
     return int(expected_committee * _TWO64) // population
 
 
-def draw(
-    seed: SortitionSeed,
-    node_id: int,
-    registry: KeyRegistry,
-    expected_committee: float,
-    population: int,
-) -> SortitionProof | None:
-    """Return a proof iff this node is selected for the step, else None."""
-    _check_params(expected_committee, population)
-    secret = registry.secret(node_id)
-    seed_bytes = seed.encode()
-    output = crypto.keyed_digest(secret, b"sortition", seed_bytes)
-    if crypto.u64_from(output) >= selection_threshold(expected_committee, population):
-        return None
-    sig = crypto.sign(secret, b"sortition-proof" + seed_bytes + output)
-    return SortitionProof(node_id, output, sig)
+@dataclass(frozen=True)
+class Lottery:
+    """One step's selection: the encoded seed every node hashes, and the
+    threshold its output must stay below."""
 
+    seed_bytes: bytes
+    threshold: int
+
+
+def lottery(seed: SortitionSeed, expected_committee: float, population: int) -> Lottery:
+    """The step's lottery, with tau = ``expected_committee`` of ``population``."""
+    return Lottery(seed.encode(), selection_threshold(expected_committee, population))
+
+
+def draw(step: Lottery, node_id: int, registry: KeyRegistry) -> SortitionProof | None:
+    """Return a proof iff this node is selected for the step, else None."""
+    secret = registry.secret(node_id)
+    output = crypto.keyed_digest(secret, b"sortition", step.seed_bytes)
+    if crypto.u64_from(output) >= step.threshold:
+        return None
+    sig = crypto.sign(secret, b"sortition-proof" + step.seed_bytes + output)
+    return SortitionProof(node_id, output, sig)

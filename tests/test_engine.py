@@ -1,9 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cobsim import crypto, engine, mbba, netsim, values
+from cobsim import crypto, engine, mbba, netsim, sortition, values
 from cobsim.crypto import KeyRegistry
 from cobsim.engine import CobInstanceId, CobParams
 
@@ -57,9 +58,14 @@ def vote_counts(zeros, ones):
 
 
 def certified_digest(state):
+    """(bits, output digest) of the node's theta, computed from the interned
+    values directly; the params' memo must hold the same pair."""
     bits = state.bits.tolist()
-    values = engine.output_values(state._theta_values(), bits)
-    return bytes(bits), engine.output_digest(state.params.digest, bits, values)
+    theta_values = [state.params.interner.value(v) for v in state.theta.tolist()]
+    values = engine.output_values(theta_values, bits)
+    digest = engine.output_digest(state.params.digest, bits, values)
+    assert state.params.output(state.theta, bits) == (values, digest)
+    return bytes(bits), digest
 
 
 def run_instance(net, m, observations, committee=None, entropy=None, tag=0):
@@ -105,6 +111,56 @@ def test_output_determination_rule():
     assert engine.output_values([b"x", b"y"], [0, 0]) == [b"x", b"y"]
     with pytest.raises(ValueError):
         engine.output_values([b"x"], [0, 1])
+
+
+def test_output_memo_is_one_entry_per_theta_and_bits(monkeypatch):
+    # Nodes sharing (theta, bits) share one encoding of the output values;
+    # the bits array and tuple forms of one vector hit one entry.
+    params = make_params(m=3)
+    theta = np.array(params.interner.intern_vector([b"a", None, b"c"]), dtype=np.int32)
+    want = engine.output_digest(params.digest, (0, 0, 1), [b"a", None, None])
+    calls = []
+    encode_vector = values.encode_vector
+    monkeypatch.setattr(values, "encode_vector",
+                        lambda vals: calls.append(vals) or encode_vector(vals))
+    first = params.output(theta, np.array([0, 0, 1], dtype=np.int8))
+    assert first == ([b"a", None, None], want)
+    assert params.output(theta.copy(), (0, 0, 1)) is first
+    other = params.output(theta, (0, 0, 0))
+    assert other[0] == [b"a", None, b"c"] and other[1] != first[1]
+    assert len(calls) == 2
+
+
+def test_one_sortition_seed_encoding_per_step(monkeypatch):
+    # Every node draws against its step's one lottery: the seed is built and
+    # encoded once per step, not once per (node, step).
+    encodes = Counter()
+    encode = sortition.SortitionSeed.encode
+
+    def counted(seed):
+        encodes[seed] += 1
+        return encode(seed)
+
+    monkeypatch.setattr(sortition.SortitionSeed, "encode", counted)
+    draws = Counter()
+    draw = sortition.draw
+    monkeypatch.setattr(sortition, "draw",
+                        lambda step, node, registry: draws.update([step.seed_bytes])
+                        or draw(step, node, registry))
+    net = make_network(n=20, seed=3)
+    bootstrap(net, seed=3)
+    encodes.clear()
+    draws.clear()
+    res, runner = run_instance(net, 2, [[b"x", b"y"]] * 20, committee=12)
+    assert res.certified
+    steps = runner.params._lotteries
+    assert len(steps) >= 6 and engine.FINAL_STEP in steps
+    assert set(encodes.values()) == {1} and len(encodes) == len(steps)
+    assert sorted(draws) == sorted(step.seed_bytes for step in steps.values())
+    assert sum(draws.values()) > 2 * len(steps)
+    for key, step in steps.items():
+        assert runner.params.lottery(key) is step
+        assert step.seed_bytes == runner.params.step_seed(key).encode()
 
 
 def test_full_instance_unanimous_fast_path():

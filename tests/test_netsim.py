@@ -535,10 +535,13 @@ def reference_rows(net, sends, floor_skips=()):
 def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
     # A random send sequence through the runner: honest and byzantine
     # origins, repeated origins, destination masks, delays, and re-sends of
-    # an earlier message that the pool rejects as duplicates.  Delivered
-    # after every send or once at the end, in one chunk or many, each row is
-    # the one the message gets when sent alone at its turn, and each pool
-    # holds the rows of the sends it accepted.
+    # an earlier message that the pool rejects as duplicates.  Mid-stream
+    # the iteration-0 pools are released, some of their rows still queued.
+    # Delivered after every send or once at the end, in one chunk or many,
+    # each row is the one the message gets when sent alone at its turn, and
+    # each open pool holds the rows of the sends it accepted.  A released
+    # pool still rejects duplicates and accepts and traces a new send,
+    # whose row joins no matrix but still moves its origin's FIFO floor.
     monkeypatch.setattr(netsim, "DELIVERY_CELLS", cells)
     sends: list[netsim.Delivery] = []
     send = netsim.Network.send
@@ -557,7 +560,16 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
         runner = netsim.InstanceRunner(net, params, [[b"a", b"b", b"c"]] * net.n)
         rng = np.random.default_rng(8)
         t, emitted, duplicates = 0.0, [], []
+        released, detached, late_new, late_dup = set(), [], [], []
         for i in range(160):
+            if i == 60:
+                for key, pool in runner.pools.items():
+                    if key[1] == 0:
+                        detached += [d for d in net._queue if d.into is pool.deliveries]
+                        pool.release()
+                        released.add(key)
+            traced = len(net.trace.records)
+            known = sum(len(pool.digests) for pool in runner.pools.values())
             if emitted and i % 9 == 4:
                 node, _, plan = emitted[int(rng.integers(0, len(emitted)))]
                 duplicates.append(len(sends))
@@ -572,18 +584,109 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
                 plan = engine.SendPlan(key, row, params.draw(key, node), None, mask, delay)
                 emitted.append((node, t, plan))
                 runner._emit(node, t, plan)
+            if plan.step_key in released:
+                new = sum(len(pool.digests) for pool in runner.pools.values()) > known
+                (late_new if new else late_dup).append(len(sends) - 1)
+                assert len(net.trace.records) == traced + new  # a new send is traced
+                assert sends[-1].into is None
             if flush_each:
                 net.deliver()
         net.deliver()
         want = reference_rows(net, sends)
         assert all(np.array_equal(d.row, w) for d, w in zip(sends, want))
-        for pool in runner.pools.values():
+        for key, pool in runner.pools.items():
+            if key in released:
+                assert pool.deliveries is None and pool._tally is None
+                continue
             kept = [d.row for d in sends if d.into is pool.deliveries]
             assert np.array_equal(pool.deliveries.view(), np.array(kept))
+        # rows queued at their pool's release stayed queued and joined no matrix
+        assert (len(detached) > 0) == (not flush_each)
+        assert all(d.into is None and d.row is not None for d in detached)
+        assert len(late_new) > 10 and len(late_dup) > 2
         # the rejected re-sends still move their origins' FIFO floors
         rejected = [i for i in duplicates if sends[i].into is None]
         assert len(rejected) == len(duplicates) > 5
         skipped = reference_rows(net, sends, floor_skips=set(rejected))
         assert any(not np.array_equal(a, b) for a, b in zip(want, skipped))
+        # and so do the new sends into a released pool
+        skipped = reference_rows(net, sends, floor_skips=set(late_new))
+        assert any(not np.array_equal(a, b) for a, b in zip(want, skipped))
         runs.append([d.row for d in sends])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_released_step_pool_refuses_reads():
+    # A released pool raises on a tally or coin read, keeps rejecting
+    # duplicates, and accepts a new digest without keeping its row.
+    net = make_network(n=6, seed=2)
+    pool = netsim.Pool(net, 2)
+    first, second = crypto.digest(b"first"), crypto.digest(b"second")
+    row = np.array([1, 2], dtype=np.int32)
+    queued = net.send(0, 0.0, 10, first)
+    assert pool.add(0, row, queued, first, bytes(32))
+    deadlines = np.full(net.n, 5.0)
+    assert pool.tally(deadlines, 3).sum() > 0  # delivers the queue
+    pool.release()
+    for read in (lambda: pool.tally(deadlines, 3), lambda: pool.min_vrf(deadlines)):
+        with pytest.raises(RuntimeError, match="released"):
+            read()
+    assert not pool.add(0, row, net.send(0, 1.0, 10, first), first, bytes(32))
+    late = net.send(1, 1.0, 10, second)
+    assert pool.add(1, row, late, second, bytes(32))
+    assert late.into is None and pool.digests == {first, second}
+    net.deliver()
+    assert late.row is not None and pool.deliveries is None
+
+
+@pytest.mark.parametrize("case", [
+    "skew/n25-mixed-skew6",
+    "equivocate/watts_strogatz",
+    "chain/committee20-mixed-n33",
+])
+def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
+    # At every node's deadline a step pool is released exactly when the
+    # event loop has passed its latest deadline over all nodes, so only the
+    # pools still open hold a tally or a rule batch.  After the run every
+    # step pool is released and holds no rows, tally or batch; its digests
+    # and the final pool's census stay.
+    runners, reads, open_reads = [], Counter(), Counter()
+    step_outcome = netsim.InstanceRunner.step_outcome
+    run = netsim.InstanceRunner.run
+
+    def spy_outcome(runner, step_key, node):
+        t = runner.deadlines_for(step_key)[node]
+        for key, pool in runner.pools.items():
+            if key == engine.FINAL_STEP:
+                continue
+            passed = runner.release_time(key) < t
+            assert pool.released == passed, (key, step_key, node)
+            if passed:
+                assert pool._tally is None and key not in runner._batches
+            else:
+                open_reads[pool._tally is not None] += 1
+        reads["released"] += sum(p.released for p in runner.pools.values())
+        reads["calls"] += 1
+        return step_outcome(runner, step_key, node)
+
+    def spy_run(runner, horizon=np.inf):
+        result = run(runner, horizon)
+        runners.append(runner)
+        return result
+
+    monkeypatch.setattr(netsim.InstanceRunner, "step_outcome", spy_outcome)
+    monkeypatch.setattr(netsim.InstanceRunner, "run", spy_run)
+    cfg = corpus()[case]
+    (scenario.run_chain_scenario if cfg.mode == "chain" else scenario.run_simulate)(cfg)
+    assert reads["calls"] > 0 and reads["released"] > 0
+    assert open_reads[True] > 0  # open pools do hold tallies between reads
+    assert len(runners) >= 2
+    for runner in runners:
+        assert not runner._batches and not runner._open
+        for key, pool in runner.pools.items():
+            assert pool.digests
+            if key == engine.FINAL_STEP:
+                assert not pool.released and pool.final_groups()
+                continue
+            assert pool.released and pool._tally is None and pool._last is None
+            assert pool.senders is pool.vrf64 is pool.payloads is pool.deliveries is None

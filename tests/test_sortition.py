@@ -18,7 +18,8 @@ def seed_for(r=0, s=0, entropy=ENTROPY):
 
 def selected(seed, registry, tau, n) -> set[int]:
     """The nodes that ``sortition.draw`` selects for one step."""
-    return {v for v in range(n) if sortition.draw(seed, v, registry, tau, n) is not None}
+    step = sortition.lottery(seed, tau, n)
+    return {v for v in range(n) if sortition.draw(step, v, registry) is not None}
 
 
 def instance(epoch=0, slot=0) -> CobInstanceId:
@@ -27,10 +28,11 @@ def instance(epoch=0, slot=0) -> CobInstanceId:
 
 def final_votes(registry, inst, tau) -> list[engine.FinalVote]:
     """A signed final vote, backing (BITS, THETA), from every selected node."""
-    seed = SortitionSeed(0, 0, inst.digest(), ENTROPY)
+    step = sortition.lottery(SortitionSeed(0, 0, inst.digest(), ENTROPY), tau,
+                             registry.num_nodes)
     votes = []
     for v in range(registry.num_nodes):
-        proof = sortition.draw(seed, v, registry, tau, registry.num_nodes)
+        proof = sortition.draw(step, v, registry)
         if proof is not None:
             body = engine.encode_final_body(inst.digest(), v, BITS, THETA, proof)
             votes.append(engine.FinalVote(v, proof.pseudo_vrf_output, registry.sign(v, body)))
@@ -63,17 +65,16 @@ def test_full_committee_selects_everyone(registry):
 
 def test_zero_committee_rejected(registry):
     with pytest.raises(ValueError):
-        sortition.draw(seed_for(), 0, registry, 0, registry.num_nodes)
+        sortition.lottery(seed_for(), 0, registry.num_nodes)
     with pytest.raises(ValueError):
-        sortition.draw(seed_for(), 0, registry, 10, 0)
+        sortition.lottery(seed_for(), 10, 0)
     with pytest.raises(ValueError):
-        sortition.draw(seed_for(), 0, registry, 50, 40)
+        sortition.lottery(seed_for(), 50, 40)
 
 
 def test_draw_deterministic(registry):
-    seed = seed_for(3, 1)
-    a = sortition.draw(seed, 5, registry, 20, registry.num_nodes)
-    b = sortition.draw(seed, 5, registry, 20, registry.num_nodes)
+    a = sortition.draw(sortition.lottery(seed_for(3, 1), 20, registry.num_nodes), 5, registry)
+    b = sortition.draw(sortition.lottery(seed_for(3, 1), 20, registry.num_nodes), 5, registry)
     assert a == b
 
 
