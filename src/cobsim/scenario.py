@@ -250,11 +250,16 @@ def build_strategies(config: ScenarioConfig, byz: set[int]) -> dict[int, netsim.
     return {v: netsim.STRATEGIES[config.adversary]() for v in byz}
 
 
+def topology_seed(seed: int) -> int:
+    """The seed ``build_network`` hands to ``netsim.build_topology``."""
+    return int(_substream(seed, b"topology").integers(0, 2**31 - 1))
+
+
 def build_network(config: ScenarioConfig, seed: int) -> netsim.Network:
     byz = byzantine_set(config, seed)
     registry = KeyRegistry(config.n, crypto.digest(b"registry", seed.to_bytes(8, "big")))
-    topo_seed = int(_substream(seed, b"topology").integers(0, 2**31 - 1))
-    adj = netsim.build_topology(config.n, byz, config.topology, config.topology_params, topo_seed)
+    adj = netsim.build_topology(config.n, byz, config.topology, config.topology_params,
+                                topology_seed(seed))
     return netsim.Network(
         config.n, byz, adj, registry, seed,
         config.lam_base, config.lam_per_byte, config.d_min, config.d_max,
