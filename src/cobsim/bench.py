@@ -94,12 +94,13 @@ def algorand_baseline(m: int, model: CostModel) -> float:
     return float(m * per_instance)
 
 
-def crossover(model: CostModel, max_m: int = 200) -> int:
-    """Smallest m where the multi-valued instance undercuts the baseline."""
+def crossover(model: CostModel, max_m: int = 200) -> int | None:
+    """Smallest m <= max_m where the multi-valued instance undercuts the
+    baseline, or None."""
     for m in range(1, max_m + 1):
         if cob_cost(m, model) < algorand_baseline(m, model):
             return m
-    raise ValueError(f"no crossover for m <= {max_m}")
+    return None
 
 
 def account_trace(trace, instance_label: str):

@@ -140,6 +140,9 @@ def cmd_bench(args) -> int:
         shard_range = list(_parse_range(args.shards))
         if not shard_range or any(ns < 1 for ns in shard_range):
             raise ValueError("shard range must be non-empty positive integers")
+        for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
     except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"invalid model or range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -148,7 +151,9 @@ def cmd_bench(args) -> int:
         bench_mod.write_csv(rows, args.out)
     if args.json_out:
         bench_mod.write_json(rows, model, args.json_out, alpha=args.alpha, beta=args.beta)
-    print(f"bench: {len(rows)} rows, crossover at m={bench_mod.crossover(model)}")
+    xover = bench_mod.crossover(model)
+    found = "no crossover up to m=200" if xover is None else f"crossover at m={xover}"
+    print(f"bench: {len(rows)} rows, {found}")
     return EXIT_OK
 
 

@@ -361,8 +361,7 @@ def initial_send(state: CobNodeState) -> list[SendPlan]:
     proof = state.params.draw(("mgc", 1), state.node)
     if proof is None:
         return []
-    payload = np.array(mgc.step1_payload(list(state.observation)), dtype=np.int32)
-    return [SendPlan(("mgc", 1), payload, proof)]
+    return [SendPlan(("mgc", 1), state.observation, proof)]
 
 
 def _mbba_send(state: CobNodeState) -> list[SendPlan]:
@@ -432,7 +431,7 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[S
     state.bits, state.decided, newly = row
     for comp in np.nonzero(newly)[0]:
         state.decision_log.append((iteration, phase, int(comp), int(state.bits[comp])))
-    if mbba.halt_check(state.decided, state.bits) is not None:
+    if state.decided.all():
         return _halt_and_final(state)
     if not _advance(state):
         raise mbba.LivenessError(

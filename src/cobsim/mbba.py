@@ -108,18 +108,7 @@ def coin_bit(min_vrf, present=True):
     """Shared coin: LSB of the minimum sortition output among coin-phase votes.
 
     A phase that received no votes is a liveness fault with no coin
-    material (``min_vrf`` None, or ``present`` false); the coin is then 0,
-    which keeps every open bit.  Works per node on arrays of minima and
-    ``present`` flags.
+    material (``present`` false); the coin is then 0, which keeps every
+    open bit.  Works per node on arrays of minima and ``present`` flags.
     """
-    if min_vrf is None:
-        return 0
     return np.where(present, np.asarray(min_vrf, dtype=np.uint64) & np.uint64(1), 0)
-
-
-def halt_check(decided: np.ndarray, bits: np.ndarray):
-    """Full bit vector once every component has decided, else None."""
-    decided = np.asarray(decided)
-    if bool(decided.all()):
-        return np.asarray(bits).astype(np.int8).copy()
-    return None

@@ -40,11 +40,6 @@ def thresholds(expected_committee: float) -> tuple[int, int]:
     return t_high, t_low
 
 
-def step1_payload(observation: list[bytes | None]) -> list[bytes | None]:
-    """Step-1 players broadcast their observation vector unmodified."""
-    return list(observation)
-
-
 def echo_filter(counts: np.ndarray) -> np.ndarray:
     """Step-2/3 rule: value with count strictly above 2/3 of messages counted.
 

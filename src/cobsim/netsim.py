@@ -8,6 +8,16 @@ pure function of (scenario, seed), and the delivery times of a message do
 not depend on unrelated traffic, which the component-independence
 properties rely on.
 
+The topology is plain Python drawing from ``random.Random(seed)``, so it
+too depends on nothing but (scenario, seed).  ``watts_strogatz`` is the
+connected small-world ring, rewired edge by edge in lattice order.
+``geometric`` places each node uniformly in the unit square (x, then y,
+in node order) and joins two nodes exactly when dx*dx + dy*dy <= r*r, in
+IEEE double products and sums, with no ``pow`` and no spatial index.  Its
+components, ordered by least node, are chained by an edge between
+consecutive least nodes; the same patch then joins the components of the
+honest subgraph, so a byzantine node never cuts honest nodes apart.
+
 Hop counts for every (origin, destination) pair come from one BFS over all
 origins at once, level by level: a sparse frontier expands by gathering
 neighbours from CSR arrays, and a frontier whose gather would touch more
@@ -68,6 +78,7 @@ import hashlib
 import heapq
 import json
 import math
+import random
 from dataclasses import dataclass
 from itertools import compress
 
@@ -92,30 +103,101 @@ def build_topology(n: int, byz: set[int], family: str, params: dict, seed: int):
     induced subgraph is patched with deterministic extra edges between
     component representatives if necessary.
     """
-    import networkx as nx
-
     if family == "complete":
-        g = nx.complete_graph(n)
+        adj = [set(range(n)) - {v} for v in range(n)]
     elif family == "ring":
-        g = nx.cycle_graph(n)
+        adj = [{(v - 1) % n, (v + 1) % n} - {v} for v in range(n)]
     elif family == "watts_strogatz":
         k = int(params.get("k", max(4, n // 10)))
         p = float(params.get("p", 0.2))
-        g = nx.connected_watts_strogatz_graph(n, min(k, n - 1), p, tries=200, seed=seed)
+        adj = _watts_strogatz(n, min(k, n - 1), p, random.Random(seed))
     elif family == "geometric":
         radius = float(params.get("radius", 0.0)) or (2.0 / max(n, 4) ** 0.5)
-        g = nx.random_geometric_graph(n, radius, seed=seed)
-        comps = sorted(nx.connected_components(g), key=min)
-        for a, b in zip(comps, comps[1:]):
-            g.add_edge(min(a), min(b))
+        adj = _geometric(n, radius, random.Random(seed))
+        _link_components(adj, range(n))
     else:
         raise ValueError(f"unknown topology family {family!r}")
+    _link_components(adj, [v for v in range(n) if v not in byz])
+    return [sorted(a) for a in adj]
 
-    honest = [v for v in range(n) if v not in byz]
-    comps = sorted(nx.connected_components(g.subgraph(honest)), key=min)
-    for a, b in zip(comps, comps[1:]):
-        g.add_edge(min(a), min(b))
-    return [sorted(g.neighbors(v)) for v in range(n)]
+
+def _watts_strogatz(n: int, k: int, p: float, rng: random.Random):
+    """A connected small-world ring (Watts and Strogatz, Nature 1998).
+
+    Each try lays a ring lattice joining every node to its k // 2 nearest
+    nodes on each side, then visits the lattice edges (u, u + j), j outer
+    and u inner, and with probability p rewires one to (u, w) for a uniform w
+    that is neither u nor a neighbour of u.  The rewire is skipped once u
+    neighbours every other node.  Up to 200 tries share ``rng``; the first
+    connected one is the graph.
+    """
+    nodes = list(range(n))
+    for _ in range(200):
+        adj = [{(u + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for u in nodes]
+        for j in range(1, k // 2 + 1):
+            for u in nodes:
+                if rng.random() < p:
+                    w = rng.choice(nodes)
+                    # The full-degree test follows each redraw; moving it
+                    # before the redraw changes how many draws a skip costs.
+                    while w == u or w in adj[u]:
+                        w = rng.choice(nodes)
+                        if len(adj[u]) >= n - 1:
+                            break
+                    else:
+                        v = (u + j) % n
+                        adj[u].remove(v)
+                        adj[v].remove(u)
+                        adj[u].add(w)
+                        adj[w].add(u)
+        if len(_component_minima(adj, nodes)) <= 1:
+            return adj
+    raise ValueError("watts_strogatz: no connected graph in 200 tries")
+
+
+def _geometric(n: int, radius: float, rng: random.Random):
+    """Uniform points in the unit square, x then y per node in node order,
+    joined wherever dx*dx + dy*dy <= radius*radius; one block of rows at a time."""
+    xs, ys = np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2).T
+    r2 = radius * radius
+    adj = []
+    block = max(1, 2**20 // n)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        dx, dy = xs[lo:hi, None] - xs, ys[lo:hi, None] - ys
+        near = dx * dx + dy * dy <= r2
+        near[np.arange(hi - lo), np.arange(lo, hi)] = False
+        adj.extend(set(np.flatnonzero(row).tolist()) for row in near)
+    return adj
+
+
+def _component_minima(adj, members) -> list[int]:
+    """The least node of each component of the subgraph induced on
+    ``members``, which are ascending; in ascending order."""
+    inside = set(members)
+    seen = set()
+    minima = []
+    for v in members:
+        if v in seen:
+            continue
+        minima.append(v)
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return minima
+
+
+def _link_components(adj, members):
+    """Join consecutive components of the subgraph induced on ``members``,
+    ordered by their least node, with an edge between those least nodes."""
+    minima = _component_minima(adj, members)
+    for a, b in zip(minima, minima[1:]):
+        adj[a].add(b)
+        adj[b].add(a)
 
 
 def hop_matrix(adj: list[list[int]], byz: set[int]) -> np.ndarray:

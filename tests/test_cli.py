@@ -167,6 +167,22 @@ def test_bench_json_out_without_csv(tmp_path):
     assert len(json.loads(jout.read_text())["rows"]) == 6
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_bench_negative_component_count_is_a_config_error(capsys, flag):
+    assert cli.main(["bench", "--shards", "1:3", flag, "-1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"invalid model or range: {flag} must be >= 0, got -1\n"
+
+
+def test_bench_without_crossover_writes_tables_and_says_so(tmp_path, capsys):
+    model = write_config(tmp_path, "model.json", {"final_participants": 100_000_000})
+    out = tmp_path / "costs.csv"
+    code = cli.main(["bench", "--model", model, "--shards", "1:3", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert len(out.read_text().strip().splitlines()) == 7  # header + 2 rows per shard count
+    assert capsys.readouterr().out == "bench: 6 rows, no crossover up to m=200\n"
+
+
 @pytest.mark.parametrize("over, field", [
     ({"n": 2, "committee": 2}, "'topology'"),  # the default watts_strogatz
     ({"topology_params": {"k": 1}}, "'topology_params.k'"),
@@ -181,7 +197,7 @@ def test_bench_json_out_without_csv(tmp_path):
     ({"n": 2, "committee": 2, "topology": "ring"}, None),
     ({"topology_params": {"k": 2, "p": 1}}, None),
 ])
-def test_topology_networkx_cannot_build_is_a_config_error(tmp_path, capsys, over, field):
+def test_unbuildable_topology_is_a_config_error(tmp_path, capsys, over, field):
     path = write_config(tmp_path, "topo.json", {**SIM, "n": 10, "committee": 10, **over})
     code = cli.main(["simulate", "--config", path])
     err = capsys.readouterr().err

@@ -163,11 +163,6 @@ def test_one_call_over_nodes_equals_single_rows(phase):
         assert herded > 5  # the per-node coin decides some rows
 
 
-def test_common_coin_empty_is_liveness_fault():
-    # no coin material: the coin keeps every open bit
-    assert mbba.coin_bit(None) == 0
-
-
 def test_coin_distribution_balanced():
     rng = np.random.default_rng(5)
     bits = []
@@ -177,8 +172,3 @@ def test_coin_distribution_balanced():
     freq = sum(bits) / len(bits)
     assert 0.45 <= freq <= 0.55
 
-
-def test_halt_check():
-    bits = np.array([0, 1, 0], dtype=np.int8)
-    assert mbba.halt_check(np.array([True, True, True]), bits).tolist() == [0, 1, 0]
-    assert mbba.halt_check(np.array([True, False, True]), bits) is None

@@ -68,12 +68,6 @@ def test_thresholds_reachable_and_ordered_over_tau_grid():
         assert 0 <= t_low < t_high, tau
 
 
-def test_step1_is_identity():
-    obs = [b"v", None, b"w"]
-    assert mgc.step1_payload(obs) == obs
-    assert mgc.step1_payload([b"v"]) == [b"v"]
-
-
 def test_echo_unanimity():
     counts = counts_from_votes([1] * 10, 3)
     assert mgc.echo_filter(counts)[0] == 1

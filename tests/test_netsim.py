@@ -1,3 +1,4 @@
+import sys
 from collections import Counter, deque
 
 import numpy as np
@@ -37,33 +38,40 @@ def deliver_one(net, origin, t_send, size, digest, dest_mask=None, delay=0.0):
     return sent.row
 
 
-def test_topology_families_connected():
-    import networkx as nx
+def assert_honest_relays_connect(adj, byz):
+    """Every honest pair is joined through honest relays: the honest
+    subgraph is connected, so no byzantine node is a cut vertex for it."""
+    honest = [v for v in range(len(adj)) if v not in byz]
+    assert (netsim.hop_matrix(adj, byz)[np.ix_(honest, honest)] >= 0).all()
 
-    for family in ("complete", "ring", "watts_strogatz", "geometric"):
-        byz = {1, 5, 9}
-        adj = netsim.build_topology(24, byz, family, {}, seed=11)
-        g = nx.Graph((u, w) for u, nbrs in enumerate(adj) for w in nbrs)
-        g.add_nodes_from(range(24))
-        assert nx.is_connected(g)
-        honest = [v for v in range(24) if v not in byz]
-        assert nx.is_connected(g.subgraph(honest))
+
+def test_topology_families_connected():
+    for family in scenario.TOPOLOGIES:
+        adj = netsim.build_topology(24, {1, 5, 9}, family, {}, seed=11)
+        assert all(v not in nbrs and nbrs == sorted(set(nbrs)) for v, nbrs in enumerate(adj))
+        assert all(v in adj[w] for v, nbrs in enumerate(adj) for w in nbrs)  # undirected
+        assert (netsim.hop_matrix(adj, set()) >= 0).all()
+        assert_honest_relays_connect(adj, {1, 5, 9})
 
 
 def test_adversary_containment_over_random_topologies():
     # honest subgraph stays connected in every generated topology
-    import networkx as nx
-
     rng = np.random.default_rng(0)
     for trial in range(40):
         n = int(rng.integers(10, 50))
         byz = set(rng.choice(n, size=n // 4, replace=False).tolist())
         family = ("watts_strogatz", "geometric")[trial % 2]
-        adj = netsim.build_topology(n, byz, family, {}, seed=trial)
-        g = nx.Graph((u, w) for u, nbrs in enumerate(adj) for w in nbrs)
-        g.add_nodes_from(range(n))
-        honest = [v for v in range(n) if v not in byz]
-        assert nx.is_connected(g.subgraph(honest))
+        assert_honest_relays_connect(netsim.build_topology(n, byz, family, {}, seed=trial), byz)
+
+
+def test_every_family_runs_without_networkx(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # any import of it fails
+    for family in scenario.TOPOLOGIES:
+        cfg = scenario.ScenarioConfig.from_dict({
+            "mode": "simulate", "n": 16, "committee": 16, "m": 2, "topology": family,
+            "adversary": "crash", "byzantine_fraction": 0.25, "seed": 6,
+        })
+        assert scenario.run_simulate(cfg).ok, family
 
 
 def test_hop_matrix_byzantine_do_not_relay():
