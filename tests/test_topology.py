@@ -4,8 +4,10 @@
 ``netsim.build_topology`` returns for every golden corpus case (with the
 byzantine set and topology seed ``scenario.build_network`` derives), for
 Watts-Strogatz and geometric graphs at n=1000 and n=3000, and for a grid of
-small sizes and rewiring probabilities.  A generator rewrite that moves no
-edge leaves every digest in place.
+small sizes and rewiring probabilities.  The dense Watts-Strogatz cases
+(k = n - 2) bring nodes to full degree, where a skipped rewire still
+consumes draws.  A generator rewrite that moves no edge leaves every
+digest in place.
 
 The one-node ring has no adjacency digest: it is locked by the trace digest
 of a one-node run instead, which reads no edge.  Only an intended topology
@@ -58,6 +60,11 @@ def topology_cases():
                 params = {} if p is None else {"p": p}
                 suffix = "" if p is None else f"-p{p}"
                 yield f"grid/{family}-n{n}{suffix}", n, byz, family, params, 1000 + n
+    for n in GRID_SIZES[1:]:
+        byz = {v for v in range(n) if v % 4 == 1}
+        for p in (0.2, 0.5):
+            yield (f"grid/watts_strogatz-dense-n{n}-p{p}", n, byz, "watts_strogatz",
+                   {"k": n - 2, "p": p}, 1000 + n)
 
 
 def compute() -> dict:
