@@ -337,8 +337,7 @@ class CobNodeState:
         self.grades: np.ndarray | None = None
         self.bits: np.ndarray | None = None
         self.decided: np.ndarray | None = None
-        self.halted = False
-        self.final_payload: tuple[bytes, bytes] | None = None  # (bits bytes, theta digest)
+        self.halted = False  # decided, own final cast
         self.output: CobOutput | None = None
         self.decision_log: list[tuple] = []  # (iteration, phase, component, bit)
 
@@ -356,24 +355,24 @@ def cob_start(params: CobParams, node: int, observation: list[bytes | None]) -> 
     return CobNodeState(params, node, obs_ids)
 
 
+def _send(state: CobNodeState, row) -> list[SendPlan]:
+    """The node's message of its step ``state.step`` carrying ``row``, if
+    sortition elects it for that step."""
+    proof = state.params.draw(state.step, state.node)
+    return [] if proof is None else [SendPlan(state.step, row, proof)]
+
+
 def initial_send(state: CobNodeState) -> list[SendPlan]:
     """Step-1 broadcast of the observation vector, for elected players."""
-    proof = state.params.draw(("mgc", 1), state.node)
-    if proof is None:
-        return []
-    return [SendPlan(("mgc", 1), state.observation, proof)]
+    return _send(state, state.observation)
 
 
 def _mbba_send(state: CobNodeState) -> list[SendPlan]:
-    proof = state.params.draw(state.step, state.node)
-    if proof is None:
-        return []
-    return [SendPlan(state.step, vote_row(state.bits, state.decided), proof)]
+    return _send(state, vote_row(state.bits, state.decided))
 
 
 def _final_send(state: CobNodeState) -> list[SendPlan]:
     _, theta_dig = state.params.output(state.theta, state.bits)
-    state.final_payload = (bytes(int(b) for b in state.bits), theta_dig)
     proof = state.params.draw(FINAL_STEP, state.node)
     return [SendPlan(FINAL_STEP, state.bits.copy(), proof, theta_dig)]
 
@@ -417,10 +416,7 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[S
     if step_key[0] == "mgc":
         state.step = next_step(step_key)
         if step_key[1] < 3:
-            proof = state.params.draw(state.step, state.node)
-            if proof is None:
-                return []
-            return [SendPlan(state.step, row[0], proof)]
+            return _send(state, row[0])
         # step 3: grade and move to the agreement loop
         state.theta, state.grades = row
         state.bits = mbba.init_bits(state.grades)
@@ -501,7 +497,7 @@ def adopt_output(
     """
     if not adopt_certificate(state, tuple(bits_bytes), theta_digest, cert):
         return None
-    if state.final_payload is not None:
+    if state.halted:
         return []
     _set_decided(state, bits_bytes)
     state.halted = True

@@ -56,20 +56,25 @@ when the clock skew exceeds a step, a row that joins later drops the
 cached tally, and the next deadline evaluates the tally and the rules
 again for the nodes still at that step.
 
-Every pool stores each accepted row once.  A step pool appends payload
-and delivery rows to two growing matrices, which its tally reads sorted
-by sender, and caches only its latest tally.  A step pool lives as long as
-its step: once the event loop pops a time past the step's latest deadline
-over all nodes, the runner releases the pool's rows, tally and sortition
-outputs and drops the step's rule batch.  Its digests stay, so a late
+Every pool stores each accepted row once.  A step pool is the one record
+of its step: the runner builds it with the step's (n,) deadline vector,
+the only place the deadline formula is evaluated, and reads each node's
+next deadline from it.  It appends payload and delivery rows to two
+growing matrices, which its tally reads sorted by sender at those
+deadlines, and caches its latest tally next to the rule batch computed
+from it.  A step pool lives as long as its step: once the event loop pops
+a time past its release time, the largest finite deadline, the runner
+releases it, which drops its rows, tally, sortition outputs and rule
+batch and closes its delivery matrix.  Its digests stay, so a late
 duplicate is still rejected, and a late new send is still traced and
 queued, so it still moves its origin's FIFO floor; its row joins no
-matrix.  The final pool keeps only its census, built as votes arrive:
-per content (bits, theta digest), the first ``FinalVote`` of each sender
-and that vote's arrival times.  A straggler's catch-up check and the
-closing certificate assembly read one column of the arrivals and collect
-references to the votes, and a node that already adopted an output builds
-no second certificate when the instance closes.
+matrix, and a row still queued at the release lands in the closed one,
+which keeps nothing.  The final pool keeps only its census, built as
+votes arrive: per content (bits, theta digest), the first ``FinalVote``
+of each sender and that vote's arrival times.  A straggler's catch-up
+check and the closing certificate assembly read one column of the
+arrivals and collect references to the votes, and a node that already
+adopted an output builds no second certificate when the instance closes.
 """
 
 from __future__ import annotations
@@ -431,6 +436,8 @@ class _Rows:
         self.extend(row[None])
 
     def extend(self, rows):
+        if self._data is None:
+            return  # closed
         end = self.size + len(rows)
         if end > len(self._data):
             grown = np.empty((max(end, 2 * len(self._data)), self._data.shape[1]),
@@ -442,6 +449,10 @@ class _Rows:
 
     def view(self) -> np.ndarray:
         return self._data[: self.size]
+
+    def close(self):
+        """Drop every row; a later ``extend`` keeps nothing."""
+        self._data, self.size = None, 0
 
 
 class _Census:
@@ -456,29 +467,37 @@ class _Census:
 class Pool:
     """All wire variants of one (instance, step), each row stored once.
 
-    A step pool appends every accepted variant's payload and delivery row
-    to two growing matrices, until ``release`` drops them.  The final pool
-    keeps only its census: per content (bits, theta digest), the first
-    ``FinalVote`` of each sender and its arrival times.  A delivery row
-    joins when the network delivers its queue; every read that needs the
-    rows delivers it first if one of this pool's rows is still queued.
+    A step pool is the record of its step: ``deadlines`` is the step's (n,)
+    deadline vector, which its tally and coin reads use, and ``release_at``
+    its largest finite entry.  It appends every accepted variant's payload
+    and delivery row to two growing matrices and caches its latest tally
+    next to ``batch``, the runner's rule batch over that tally, until
+    ``release`` drops them.  The final pool (``deadlines`` None) keeps only
+    its census: per content (bits, theta digest), the first ``FinalVote``
+    of each sender and its arrival times.  A delivery row joins when the
+    network delivers its queue; every read that needs the rows delivers it
+    first if one of this pool's rows is still queued.
     """
 
-    def __init__(self, net: Network, m: int, final: bool = False):
+    def __init__(self, net: Network, m: int, deadlines: np.ndarray | None):
         self.net = net
         self.n = net.n
+        self.deadlines = deadlines
         self.digests: set[bytes] = set()
         self.released = False
         self._last: Delivery | None = None  # the latest send whose row this pool keeps
         self._census: dict[tuple, _Census] | None = None
-        if final:
+        if deadlines is None:
             self._census = {}
             return
+        finite = deadlines[np.isfinite(deadlines)]
+        self.release_at = float(finite.max()) if finite.size else -math.inf
         self.senders: list[int] = []
         self.vrf64: list[int] = []
         self.payloads = _Rows(m, np.int32)
         self.deliveries = _Rows(self.n, np.float64)
-        self._tally: tuple | None = None  # (key, counts) of the latest read
+        self._tally: tuple | None = None  # (num_values, counts) of the latest read
+        self.batch: tuple | None = None  # the runner's (counts, present, rows by node)
 
     def add(self, sender, payload_row, delivery: Delivery, digest, vrf_out: bytes) -> bool:
         """Pool one wire variant unless its digest is already here.
@@ -512,16 +531,14 @@ class Pool:
         return True
 
     def release(self):
-        """Drop a step pool's rows, sortition outputs and tally once no
-        deadline can read them.  ``digests`` stay for duplicate suppression;
-        a queued row of this pool stays queued but joins no matrix."""
-        if self._last is not None and self._last.row is None:
-            for queued in self.net._queue:
-                if queued.into is self.deliveries:
-                    queued.into = None
+        """Drop a step pool's rows, sortition outputs, tally and rule batch
+        once no deadline can read them.  ``digests`` stay for duplicate
+        suppression; a queued row of this pool joins the closed matrix,
+        which keeps nothing."""
         self.released = True
-        self._last = self._tally = None
-        self.senders = self.vrf64 = self.payloads = self.deliveries = None
+        self.deliveries.close()
+        self._last = self._tally = self.batch = None
+        self.senders = self.vrf64 = self.payloads = None
 
     def _settle(self):
         """Deliver the network's queue if a row of this pool is in it."""
@@ -550,26 +567,25 @@ class Pool:
         self._settle()
         return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
 
-    def tally(self, deadlines: np.ndarray, num_values: int) -> np.ndarray:
-        """(n, m, V) counts at per-node deadlines; one kernel call per step.
+    def tally(self, num_values: int) -> np.ndarray:
+        """(n, m, V) counts at the step's deadlines; one kernel call per step.
         Only the latest tally is kept: the interner only grows, so a step
         read with more values never needs the older counts again."""
         self._settle()
-        key = (float(deadlines[0]), num_values)
-        if self._tally is None or self._tally[0] != key:
+        if self._tally is None or self._tally[0] != num_values:
             senders = np.array(self.senders, dtype=np.int32)
             order = np.argsort(senders, kind="stable")
-            self._tally = key, kernels.tally_votes(
-                self.deliveries.view()[order], deadlines, senders[order],
+            self._tally = num_values, kernels.tally_votes(
+                self.deliveries.view()[order], self.deadlines, senders[order],
                 self.payloads.view()[order], num_values)
         return self._tally[1]
 
-    def min_vrf(self, deadlines: np.ndarray):
+    def min_vrf(self):
         """(mins, present): per-node minimum sortition output among timely rows."""
         self._settle()
         if not self.senders:
             return np.zeros(self.n, dtype=np.uint64), np.zeros(self.n, dtype=bool)
-        counted = self.deliveries.view() <= deadlines[None, :]
+        counted = self.deliveries.view() <= self.deadlines[None, :]
         vrf = np.array(self.vrf64, dtype=np.uint64)
         masked = np.where(counted, vrf[:, None], np.uint64(U64MAX))
         return masked.min(axis=0), counted.any(axis=0)
@@ -704,21 +720,16 @@ class Network:
             sub = rows[b]
             t_first = sub[:, self.honest_mask].min(axis=1, initial=np.inf)
             rows[b] = np.minimum(sub, (t_first + caps[b])[:, None])
-        honest = np.flatnonzero(~byz)
-        if honest.size:
-            # FIFO per (origin -> destination): an honest sender's later
-            # message never overtakes an earlier one.  The clamp respects
-            # the envelope because earlier sends carry earlier bounds.  A
-            # row's floor is its origin's previous row, so the j-th rows of
-            # each origin in this chunk are clamped together, j = 0, 1, ...
-            floor, none = self._fifo_floor, np.full(self.n, -np.inf)
-            for layer in _occurrence_layers(origins[honest]):
-                idx = honest[layer]
-                src = origins[idx].tolist()
-                clamped = np.maximum(rows[idx], np.array([floor.get(v, none) for v in src]))
-                rows[idx] = clamped
-                for v, row in zip(src, clamped):
-                    floor[v] = row.copy()  # its own array: no chunk outlives the send
+        # FIFO per (origin -> destination): an honest sender's later message
+        # never overtakes an earlier one.  The clamp respects the envelope
+        # because earlier sends carry earlier bounds.  A row's floor is its
+        # origin's previous row, clamped first, in send order.
+        floor = self._fifo_floor
+        for i in np.flatnonzero(~byz).tolist():
+            v = chunk[i].origin
+            if v in floor:
+                np.maximum(rows[i], floor[v], out=rows[i])
+            floor[v] = rows[i].copy()  # its own array: no chunk outlives the send
         start = 0  # rows[start:i + 1] run to one pool's matrix
         for i, d in enumerate(chunk):
             d.row = rows[i]
@@ -726,19 +737,6 @@ class Network:
                 if d.into is not None:
                     d.into.extend(rows[start:i + 1])
                 start = i + 1
-
-
-def _occurrence_layers(keys: np.ndarray) -> list[list[int]]:
-    """Positions of ``keys`` split by occurrence: layer j holds, in order,
-    the positions where a key appears for the (j+1)-th time."""
-    seen: dict[int, int] = {}
-    layers: list[list[int]] = []
-    for pos, key in enumerate(keys.tolist()):
-        j = seen[key] = seen.get(key, -1) + 1
-        if j == len(layers):
-            layers.append([])
-        layers[j].append(pos)
-    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -795,34 +793,33 @@ class InstanceRunner:
         self.step_len = step_length(net, params)
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
-        self._batches: dict[tuple, tuple] = {}  # step key -> (counts, present, rows by node)
-        finite = self.start_abs[np.isfinite(self.start_abs)]
-        self._last_start = float(finite.max()) if finite.size else -math.inf
-        self._open: list[tuple] = []  # (release time, step key) of the unreleased step pools
+        self._open: list[tuple] = []  # (release_at, step key) of the unreleased step pools
 
     def pool(self, step_key) -> Pool:
+        """The step's pool, built at its first use with the step's deadlines
+        start + step_index * step length.  The final pool has no deadlines
+        and is never released."""
         p = self.pools.get(step_key)
         if p is None:
-            final = step_key == engine.FINAL_STEP
-            p = self.pools[step_key] = Pool(self.net, self.params.m, final)
-            if not final:
-                heapq.heappush(self._open, (self.release_time(step_key), step_key))
+            if step_key == engine.FINAL_STEP:
+                p = Pool(self.net, self.params.m, None)
+            else:
+                deadlines = self.start_abs + engine.step_index(step_key) * self.step_len
+                p = Pool(self.net, self.params.m, deadlines)
+                heapq.heappush(self._open, (p.release_at, step_key))
+            self.pools[step_key] = p
         return p
 
-    def release_time(self, step_key) -> float:
-        """The step's latest deadline over all nodes; no read of its pool
-        comes later.  The final pool is never released."""
-        return self._last_start + engine.step_index(step_key) * self.step_len
-
     def _release_before(self, t: float):
-        """Release every step pool whose release time is before ``t``."""
+        """Release every step pool whose latest deadline is before ``t``."""
         while self._open and self._open[0][0] < t:
-            key = heapq.heappop(self._open)[1]
-            self.pools[key].release()
-            self._batches.pop(key, None)
+            self.pools[heapq.heappop(self._open)[1]].release()
 
-    def deadlines_for(self, step_key) -> np.ndarray:
-        return self.start_abs + engine.step_index(step_key) * self.step_len
+    def _record(self, v: int, t, kind: str, step: str, size=0, digest="", note=""):
+        """One trace record of node ``v`` at absolute time ``t``; a record
+        with no time (``t`` None) reads 0 on both clocks."""
+        t_abs, t_local = (0.0, 0.0) if t is None else (t, self.net.local(v, t))
+        self.net.trace.add(t_abs, t_local, v, kind, self.label, step, size, digest, note)
 
     # -- sends --------------------------------------------------------------
     def dispatch(self, node: int, t_abs: float, plans: list[SendPlan]):
@@ -853,10 +850,7 @@ class InstanceRunner:
             row = (bytes(int(b) for b in row), plan.theta_digest, sig)
         pool = self.pool(key)
         if pool.add(node, row, delivery, digest, plan.proof.pseudo_vrf_output):
-            net.trace.add(
-                t_abs, net.local(node, t_abs), node, "send", self.label,
-                engine.step_label(key), size, digest[:8].hex(),
-            )
+            self._record(node, t_abs, "send", engine.step_label(key), size, digest[:8].hex())
 
     # -- step rules -------------------------------------------------------------
     def step_outcome(self, step_key, node: int) -> tuple[tuple, np.ndarray | None]:
@@ -871,22 +865,21 @@ class InstanceRunner:
         node that reaches the step after the batch was made.
         """
         pool = self.pool(step_key)
-        deadlines = self.deadlines_for(step_key)
         num_values = len(self.params.interner) if step_key[0] == "mgc" else engine.VOTE_VALUES
-        counts = pool.tally(deadlines, num_values)
-        batch = self._batches.get(step_key)
+        counts = pool.tally(num_values)
+        batch = pool.batch
         if batch is None or batch[0] is not counts or node not in batch[2]:
-            batch = self._batches[step_key] = self._rule_batch(step_key, pool, deadlines, counts)
+            batch = pool.batch = self._rule_batch(step_key, pool, counts)
         return batch[2][node], batch[1]
 
-    def _rule_batch(self, step_key, pool: Pool, deadlines, counts) -> tuple:
+    def _rule_batch(self, step_key, pool: Pool, counts) -> tuple:
         """Rule outcome rows for every node at ``step_key`` that has not
         halted.  Only a node's own events change its state, so each row
         holds until that node's deadline."""
         members = [v for v, s in self.states.items() if s.step == step_key and not s.halted]
         coins = present = None
         if step_key[0] == "mbba" and step_key[2] == mbba.PHASE_COIN:
-            mins, present = pool.min_vrf(deadlines)
+            mins, present = pool.min_vrf()
             coins = mbba.coin_bit(mins, present)
         # Bound the (nodes, m, V) temporaries of one rule call.
         per_call = max(1, RULE_CELLS // counts[0].size)
@@ -900,12 +893,12 @@ class InstanceRunner:
             rows.update(zip(chunk, zip(*outcome)))
         return counts, present, rows
 
-    def _maybe_adopt_from_finals(self, node: int, t_abs: float):
+    def _maybe_adopt_from_finals(self, node: int, t_abs: float) -> list[SendPlan] | None:
         """Straggler catch-up from the accumulating final pool.
 
-        Returns ("output", plans) when a full certificate quorum was
-        adopted, ("halted", plans) when only the decided bits were adopted
-        (the node halts and contributes its own final), or None.
+        Returns the node's sends when it adopted a full certificate quorum
+        (it holds its output) or only the decided bits (it halts and casts
+        its own final), else None.
         """
         pool = self.pools.get(engine.FINAL_STEP)
         state = self.states[node]
@@ -927,9 +920,9 @@ class InstanceRunner:
                 cert = self._certificate(bits_bytes, theta_digest, votes, held)
                 plans = engine.adopt_output(state, bits_bytes, theta_digest, cert)
                 if plans is not None:
-                    return ("output", plans)
+                    return plans
             elif not state.halted and count >= self.params.t_adopt:
-                return ("halted", engine.adopt_decided_bits(state, bits_bytes))
+                return engine.adopt_decided_bits(state, bits_bytes)
         return None
 
     def _certificate(self, bits, theta_digest, votes, held=None) -> engine.Certificate:
@@ -950,19 +943,18 @@ class InstanceRunner:
             if not math.isfinite(t):
                 continue  # node unreachable from every honest relay
             if t > horizon:
-                net.trace.add(t, net.local(v, t), v, "timeout-horizon", self.label, "-", 0, "")
+                self._record(v, t, "timeout-horizon", "-")
                 cut_at = horizon
                 break
             self._release_before(t)
             state = self.states[v]
             if key == ("start",):
-                net.trace.add(t, net.local(v, t), v, "timeout", self.label, "start", 0, "")
+                self._record(v, t, "timeout", "start")
                 self.dispatch(v, t, engine.initial_send(state))
             else:
                 self.dispatch(v, t, self._on_deadline(v, t, key, liveness))
             if state.step is not None:
-                t_next = self.start_abs[v] + engine.step_index(state.step) * self.step_len
-                heapq.heappush(heap, (float(t_next), v, state.step))
+                heapq.heappush(heap, (float(self.pool(state.step).deadlines[v]), v, state.step))
         self._release_before(math.inf)
         result = self._finish(liveness)
         result.cut_at = cut_at
@@ -974,30 +966,28 @@ class InstanceRunner:
     def _on_deadline(self, v: int, t: float, key, liveness: list[int]) -> list[SendPlan]:
         """Node ``v`` at its deadline ``key``: catch up from the final pool,
         echo once halted, or pass the step.  Returns the node's sends."""
-        net, state = self.net, self.states[v]
+        state = self.states[v]
         if key[0] == "mbba":
-            action = self._maybe_adopt_from_finals(v, t)
-            if action is not None:
-                return action[1]
+            plans = self._maybe_adopt_from_finals(v, t)
+            if plans is not None:
+                return plans
         if state.halted:
             # Decided bits keep being echoed with final flags until the
             # node holds a certificate, so stragglers can catch up.
             return engine.on_echo_deadline(state) or []
         row, present = self.step_outcome(key, v)
+        label = engine.step_label(key)
         if present is not None and not present[v]:
-            net.trace.add(t, net.local(v, t), v, "note", self.label,
-                          engine.step_label(key), 0, "", "empty coin phase")
+            self._record(v, t, "note", label, note="empty coin phase")
         decisions_before = len(state.decision_log)
         try:
             plans = engine.on_step_deadline(state, key, row)
         except mbba.LivenessError as exc:
             liveness.append(v)
-            net.trace.add(t, net.local(v, t), v, "liveness-failure", self.label,
-                          engine.step_label(key), 0, "", str(exc))
+            self._record(v, t, "liveness-failure", label, note=str(exc))
             return []
         for it, ph, comp, bit in state.decision_log[decisions_before:]:
-            net.trace.add(t, net.local(v, t), v, "decide", self.label,
-                          engine.step_label(key), 0, "", f"component {comp} -> {bit}")
+            self._record(v, t, "decide", label, note=f"component {comp} -> {bit}")
         return plans
 
     # -- certificate assembly -----------------------------------------------------
@@ -1021,7 +1011,7 @@ class InstanceRunner:
         for v in range(net.n):
             t_v = float(assembly[v])
             if not np.isfinite(t_v):
-                net.trace.add(0.0, 0.0, v, "no-certificate", self.label, "final", 0, "")
+                self._record(v, None, "no-certificate", "final")
                 continue
             state = self.states[v]
             # A node that adopted from the final pool already holds its output.
@@ -1030,11 +1020,9 @@ class InstanceRunner:
                 self._certificate(bits, theta_digest, votes, arrivals[:, v] <= t_v),
             ):
                 outputs[v] = state.output
-                net.trace.add(t_v, net.local(v, t_v), v, "output", self.label,
-                              "final", 0, theta_digest[:8].hex())
+                self._record(v, t_v, "output", "final", digest=theta_digest[:8].hex())
             else:
-                net.trace.add(t_v, net.local(v, t_v), v, "output-mismatch", self.label,
-                              "final", 0, theta_digest[:8].hex())
+                self._record(v, t_v, "output-mismatch", "final", digest=theta_digest[:8].hex())
         return InstanceResult(params, self.states, outputs, assembly, liveness, canonical)
 
 

@@ -11,6 +11,7 @@ disturbing the others.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -91,6 +92,9 @@ class ScenarioConfig:
         req(self.adversary in ADVERSARIES, "adversary", f"must be one of {ADVERSARIES}")
         req(self.topology in TOPOLOGIES, "topology", f"must be one of {TOPOLOGIES}")
         self._validate_topology_params()
+        for name in ("lam_base", "lam_per_byte", "d_min", "d_max", "initial_skew",
+                     "slot_duration"):
+            req(math.isfinite(getattr(self, name)), name, "must be finite")
         req(self.lam_base > 0, "lam_base", "must be positive")
         req(self.lam_per_byte >= 0, "lam_per_byte", "must be non-negative")
         req(0 <= self.d_min <= self.d_max, "d_min", "need 0 <= d_min <= d_max")

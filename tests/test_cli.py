@@ -238,6 +238,23 @@ def test_mistyped_or_misplaced_field_is_a_config_error(tmp_path, capsys, field, 
     assert err.startswith(f"invalid config: config field '{field}': ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("simulate", "lam_base"),
+    ("simulate", "lam_per_byte"),
+    ("simulate", "d_min"),
+    ("simulate", "d_max"),
+    ("simulate", "initial_skew"),
+    ("chain", "slot_duration"),
+])
+def test_infinite_setting_is_a_config_error(tmp_path, capsys, command, field):
+    base = {**SIM, "n": 10, "committee": 10} if command == "simulate" else CHAIN
+    path = write_config(tmp_path, "inf.json", {**base, field: float("inf")})
+    assert "Infinity" in (tmp_path / "inf.json").read_text()
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"invalid config: config field '{field}': must be finite\n"
+
+
 PLAN_DEFAULT = {"kind": "unanimous"}
 
 

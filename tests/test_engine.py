@@ -393,7 +393,7 @@ def test_straggler_adopting_an_output_casts_one_final():
     sends = engine.adopt_output(state, bits_bytes, digest, cert)
     assert [p.step_key for p in sends] == [engine.FINAL_STEP]
     assert sends[0].theta_digest == digest
-    assert state.final_payload == (bits_bytes, digest)
+    assert bytes(int(b) for b in sends[0].row) == bits_bytes
     assert state.halted and state.step is None
     assert state.output.certificate is cert
     assert engine.on_echo_deadline(state) is None

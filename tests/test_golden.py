@@ -97,6 +97,26 @@ def test_golden_digests():
     assert not lines, "golden digests moved:\n" + "\n".join(lines)
 
 
+def test_reference_digest_n2000():
+    # Past the corpus sizes: the first consensus-n400 benchmark operation of
+    # seed 1 at n=2000 with a 40-seat step committee (about 3 s, 300 MB).
+    cfg = scenario.ScenarioConfig.from_dict({
+        "mode": "simulate", "n": 2000, "committee": 40, "m": 8, "byzantine_fraction": 0.3,
+        "adversary": "crash", "topology": "watts_strogatz", "seed": 242293318,
+        "observation_plan": [
+            {"kind": "random", "alphabet": 3},
+            {"kind": "random", "alphabet": 3},
+            {"kind": "split", "values": ["c7578f990bcc30a0", "f5f2ffab57cd73b9"]},
+            {"kind": "random", "alphabet": 3},
+            {"kind": "split", "values": ["57c7932bd85f7da3", "d763b6e5b48c1881"]},
+            {"kind": "unanimous", "value": "657b7f88cc5c1be1"},
+            {"kind": "unanimous", "value": "6ec7f3cf9fdbd502"},
+            {"kind": "random", "alphabet": 3},
+        ],
+    })
+    assert digest(cfg) == "bdd64d8c0e479e6d99245d581f612ffc56c324e7c21a23a02c5c3585c726ffac"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")

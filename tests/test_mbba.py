@@ -117,7 +117,7 @@ def test_common_coin_from_minimum_output():
     # Origin 0 sends 7 and 3 at t=1, which reach node 1 a hop later, after
     # its deadline at t=1; origin 1 sends 12 and 98 at t=0.
     net = make_network(n=2, topology="complete", seed=1)
-    pool = netsim.Pool(net, m=1)
+    pool = netsim.Pool(net, m=1, deadlines=np.array([2.0, 1.0]))
     sent = []
     for k, vrf in enumerate([7, 12, 3, 98]):
         origin = 0 if vrf in (3, 7) else 1
@@ -126,7 +126,7 @@ def test_common_coin_from_minimum_output():
         vrf_out = vrf.to_bytes(8, "big") + bytes(24)  # the coin reads the leading 64 bits
         assert pool.add(k, np.zeros(1, dtype=np.int32), sent[-1], digest, vrf_out)
     assert all(d.row is None for d in sent)  # queued until a read needs the rows
-    mins, present = pool.min_vrf(np.array([2.0, 1.0]))
+    mins, present = pool.min_vrf()
     assert [d.row[1] > 1.0 for d in sent] == [True, False, True, False]
     assert present.all()
     assert mins.tolist() == [3, 12]

@@ -344,15 +344,19 @@ def test_adoption_from_finals_takes_both_branches(monkeypatch):
     # pool with a full certificate ("output") or with decided bits only
     # ("halted").
     kinds = Counter()
-    original = netsim.InstanceRunner._maybe_adopt_from_finals
+    adopt_output, adopt_decided_bits = engine.adopt_output, engine.adopt_decided_bits
 
-    def spy(self, node, t_abs):
-        action = original(self, node, t_abs)
-        if action is not None:
-            kinds[action[0]] += 1
-        return action
+    def spy_output(state, *args):
+        plans = adopt_output(state, *args)
+        kinds["output"] += plans is not None
+        return plans
 
-    monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy)
+    def spy_bits(state, bits_bytes):
+        kinds["halted"] += 1
+        return adopt_decided_bits(state, bits_bytes)
+
+    monkeypatch.setattr(engine, "adopt_output", spy_output)
+    monkeypatch.setattr(engine, "adopt_decided_bits", spy_bits)
     assert scenario.run_simulate(scenario.ScenarioConfig.from_dict(SCALE_N100)).ok
     assert kinds["output"] > 0 and kinds["halted"] > 0
 
@@ -370,11 +374,12 @@ def test_straggler_adopting_an_output_sends_one_final(monkeypatch):
     adopt = netsim.InstanceRunner._maybe_adopt_from_finals
 
     def spy(self, node, t_abs):
-        had_final = self.states[node].final_payload is not None
-        action = adopt(self, node, t_abs)
-        if action is not None and action[0] == "output" and not had_final:
-            stragglers.append((self, node, action[1]))
-        return action
+        state = self.states[node]
+        had_final, had_output = state.halted, state.output is not None
+        plans = adopt(self, node, t_abs)
+        if state.output is not None and not had_output and not had_final:
+            stragglers.append((self, node, plans))
+        return plans
 
     monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy)
     assert scenario.run_simulate(cfg).ok
@@ -404,10 +409,11 @@ def test_one_certificate_per_output_holding_the_finals_seen(monkeypatch):
         return result
 
     def spy_adopt(self, node, t_abs):
-        action = adopt(self, node, t_abs)
-        if action is not None and action[0] == "output":
+        had_output = self.states[node].output is not None
+        plans = adopt(self, node, t_abs)
+        if self.states[node].output is not None and not had_output:
             adopted_at[id(self), node] = t_abs
-        return action
+        return plans
 
     def spy_init(cert, *args, **kwargs):
         builds["certificates"] += 1
@@ -468,12 +474,13 @@ def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
 
     def spy(runner, step_key, node):
         nonlocal late, multi, rebatched
-        batch = runner._batches.get(step_key)
+        batch = runner.pool(step_key).batch
         row, present = step_outcome(runner, step_key, node)
-        rebatched += batch is not None and runner._batches[step_key] is not batch
         pool = runner.pools[step_key]
+        rebatched += batch is not None and pool.batch is not batch
         raw = rows.get(pool, [])
-        deadlines = runner.deadlines_for(step_key)
+        deadlines = runner.start_abs + engine.step_index(step_key) * runner.step_len
+        assert np.array_equal(pool.deadlines, deadlines)
         num_values = len(runner.params.interner) if step_key[0] == "mgc" else 4
         senders = np.array([sender for sender, *_ in raw], dtype=np.int32)
         order = np.argsort(senders, kind="stable")
@@ -482,8 +489,8 @@ def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
         want = _kernels.tally_votes(
             deliveries.reshape(len(raw), runner.net.n)[order], deadlines, senders[order],
             payloads.reshape(len(raw), runner.params.m)[order], num_values)
-        assert np.array_equal(pool.tally(deadlines, num_values), want)
-        mins, present_now = pool.min_vrf(deadlines)
+        assert np.array_equal(pool.tally(num_values), want)
+        mins, present_now = pool.min_vrf()
         coins = None
         for v in range(runner.net.n):
             timely = [crypto.u64_from(vrf) for _, _, delivery, vrf in raw
@@ -547,9 +554,11 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
     # the iteration-0 pools are released, some of their rows still queued.
     # Delivered after every send or once at the end, in one chunk or many,
     # each row is the one the message gets when sent alone at its turn, and
-    # each open pool holds the rows of the sends it accepted.  A released
-    # pool still rejects duplicates and accepts and traces a new send,
-    # whose row joins no matrix but still moves its origin's FIFO floor.
+    # each open pool holds the rows of the sends it accepted.  A row still
+    # queued at its pool's release is delivered into the closed matrix,
+    # which stays empty.  A released pool still rejects duplicates and
+    # accepts and traces a new send, whose row joins no matrix but still
+    # moves its origin's FIFO floor.
     monkeypatch.setattr(netsim, "DELIVERY_CELLS", cells)
     sends: list[netsim.Delivery] = []
     send = netsim.Network.send
@@ -573,7 +582,8 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
             if i == 60:
                 for key, pool in runner.pools.items():
                     if key[1] == 0:
-                        detached += [d for d in net._queue if d.into is pool.deliveries]
+                        detached += [(pool, d) for d in sends
+                                     if d.into is pool.deliveries and d.row is None]
                         pool.release()
                         released.add(key)
             traced = len(net.trace.records)
@@ -604,13 +614,13 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
         assert all(np.array_equal(d.row, w) for d, w in zip(sends, want))
         for key, pool in runner.pools.items():
             if key in released:
-                assert pool.deliveries is None and pool._tally is None
+                assert pool.deliveries.size == 0 and pool._tally is None
                 continue
             kept = [d.row for d in sends if d.into is pool.deliveries]
             assert np.array_equal(pool.deliveries.view(), np.array(kept))
-        # rows queued at their pool's release stayed queued and joined no matrix
+        # rows queued at their pool's release were delivered into its closed matrix
         assert (len(detached) > 0) == (not flush_each)
-        assert all(d.into is None and d.row is not None for d in detached)
+        assert all(d.into is pool.deliveries and d.row is not None for pool, d in detached)
         assert len(late_new) > 10 and len(late_dup) > 2
         # the rejected re-sends still move their origins' FIFO floors
         rejected = [i for i in duplicates if sends[i].into is None]
@@ -626,25 +636,33 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
 
 def test_released_step_pool_refuses_reads():
     # A released pool raises on a tally or coin read, keeps rejecting
-    # duplicates, and accepts a new digest without keeping its row.
+    # duplicates, and accepts a new digest without keeping its row.  A row
+    # still queued at the release lands in the closed matrix, which keeps
+    # nothing.
     net = make_network(n=6, seed=2)
-    pool = netsim.Pool(net, 2)
-    first, second = crypto.digest(b"first"), crypto.digest(b"second")
-    row = np.array([1, 2], dtype=np.int32)
-    queued = net.send(0, 0.0, 10, first)
-    assert pool.add(0, row, queued, first, bytes(32))
     deadlines = np.full(net.n, 5.0)
-    assert pool.tally(deadlines, 3).sum() > 0  # delivers the queue
+    deadlines[3] = np.inf  # a node that never reaches the step
+    pool = netsim.Pool(net, 2, deadlines)
+    assert pool.release_at == 5.0
+    assert netsim.Pool(net, 2, np.full(net.n, np.inf)).release_at == -np.inf
+    first, second, third = (crypto.digest(w) for w in (b"first", b"second", b"third"))
+    row = np.array([1, 2], dtype=np.int32)
+    assert pool.add(0, row, net.send(0, 0.0, 10, first), first, bytes(32))
+    assert pool.tally(3).sum() > 0  # delivers the queue
+    assert pool.min_vrf()[1].any()
+    queued = net.send(2, 0.5, 10, third)
+    assert pool.add(2, row, queued, third, bytes(32))
     pool.release()
-    for read in (lambda: pool.tally(deadlines, 3), lambda: pool.min_vrf(deadlines)):
+    assert pool.batch is None and pool._tally is None and queued.into is pool.deliveries
+    for read in (lambda: pool.tally(3), lambda: pool.min_vrf()):
         with pytest.raises(RuntimeError, match="released"):
             read()
     assert not pool.add(0, row, net.send(0, 1.0, 10, first), first, bytes(32))
     late = net.send(1, 1.0, 10, second)
     assert pool.add(1, row, late, second, bytes(32))
-    assert late.into is None and pool.digests == {first, second}
+    assert late.into is None and pool.digests == {first, second, third}
     net.deliver()
-    assert late.row is not None and pool.deliveries is None
+    assert late.row is not None and queued.row is not None and pool.deliveries.size == 0
 
 
 @pytest.mark.parametrize("case", [
@@ -653,24 +671,32 @@ def test_released_step_pool_refuses_reads():
     "chain/committee20-mixed-n33",
 ])
 def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
-    # At every node's deadline a step pool is released exactly when the
-    # event loop has passed its latest deadline over all nodes, so only the
-    # pools still open hold a tally or a rule batch.  After the run every
-    # step pool is released and holds no rows, tally or batch; its digests
-    # and the final pool's census stay.
+    # Every deadline event the loop pops is its node's entry of the step
+    # pool's deadline vector, and a pool's release time is that vector's
+    # largest finite entry: the latest deadline over all nodes.  At every
+    # node's deadline a step pool is released exactly when the event loop
+    # has passed that time, so only the pools still open hold a tally or a
+    # rule batch.  After the run every step pool is released and holds no
+    # rows, tally or batch; its digests and the final pool's census stay.
     runners, reads, open_reads = [], Counter(), Counter()
     step_outcome = netsim.InstanceRunner.step_outcome
+    on_deadline = netsim.InstanceRunner._on_deadline
     run = netsim.InstanceRunner.run
 
+    def spy_deadline(runner, v, t, key, liveness):
+        assert t == runner.pools[key].deadlines[v], (key, v)
+        reads["deadlines"] += 1
+        return on_deadline(runner, v, t, key, liveness)
+
     def spy_outcome(runner, step_key, node):
-        t = runner.deadlines_for(step_key)[node]
+        t = runner.pools[step_key].deadlines[node]
         for key, pool in runner.pools.items():
             if key == engine.FINAL_STEP:
                 continue
-            passed = runner.release_time(key) < t
+            passed = pool.release_at < t
             assert pool.released == passed, (key, step_key, node)
             if passed:
-                assert pool._tally is None and key not in runner._batches
+                assert pool._tally is None and pool.batch is None
             else:
                 open_reads[pool._tally is not None] += 1
         reads["released"] += sum(p.released for p in runner.pools.values())
@@ -682,19 +708,25 @@ def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
         runners.append(runner)
         return result
 
+    monkeypatch.setattr(netsim.InstanceRunner, "_on_deadline", spy_deadline)
     monkeypatch.setattr(netsim.InstanceRunner, "step_outcome", spy_outcome)
     monkeypatch.setattr(netsim.InstanceRunner, "run", spy_run)
     cfg = corpus()[case]
     (scenario.run_chain_scenario if cfg.mode == "chain" else scenario.run_simulate)(cfg)
-    assert reads["calls"] > 0 and reads["released"] > 0
+    assert reads["calls"] > 0 and reads["released"] > 0 and reads["deadlines"] > reads["calls"]
     assert open_reads[True] > 0  # open pools do hold tallies between reads
     assert len(runners) >= 2
     for runner in runners:
-        assert not runner._batches and not runner._open
+        assert not runner._open
+        finite_starts = runner.start_abs[np.isfinite(runner.start_abs)]
         for key, pool in runner.pools.items():
             assert pool.digests
             if key == engine.FINAL_STEP:
                 assert not pool.released and pool.final_groups()
                 continue
+            finite = pool.deadlines[np.isfinite(pool.deadlines)]
+            assert pool.release_at == finite.max()
+            assert pool.release_at == finite_starts.max() + engine.step_index(key) * runner.step_len
             assert pool.released and pool._tally is None and pool._last is None
-            assert pool.senders is pool.vrf64 is pool.payloads is pool.deliveries is None
+            assert pool.batch is None and pool.deliveries.size == 0
+            assert pool.senders is pool.vrf64 is pool.payloads is None
