@@ -10,7 +10,12 @@ is the rollover signal: the instance runner re-zeros every node's clock at
 its certificate assembly time.  A block is due 2*lambda(block)
 (``block_lambda``) before its slot ends, and the last slot agrees on
 Nc = alpha + beta*Ns' + Ns components: the next epoch's parameters
-(``EpochConfig.vector``), then the shard digests.
+(``EpochConfig.vector``), then the shard digests.  The parameters lead
+with the ``TYPED_PARAMS`` components that ``EpochConfig`` holds as typed
+fields (shard count, slot count, slot duration), then the opaque general
+parameters, then shard by shard its creator per slot (list L) and its
+extra parameters.  ``apply_epoch_output`` reads every typed 8-byte
+component through one decoder.
 
 Blank components never stall the chain: the merge policy substitutes the
 previous epoch's value (round-robin creators for blank assignment slots)
@@ -20,9 +25,10 @@ the previous configuration.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +56,9 @@ def block_lambda(lam_base: float, lam_per_byte: float, block_size: int) -> float
 # Epoch configuration
 
 
+TYPED_PARAMS = 3  # the general components that EpochConfig holds as typed fields
+
+
 @dataclass
 class EpochConfig:
     epoch: int
@@ -57,12 +66,12 @@ class EpochConfig:
     num_slots: int
     slot_duration: float
     assignment: dict[tuple[int, int], int]  # (slot 1.., shard 1..) -> node
-    general_params: list[bytes]
+    general_params: list[bytes]  # the alpha - TYPED_PARAMS opaque general parameters
     shard_params: dict[int, list[bytes]]
 
     @property
     def alpha(self) -> int:
-        return len(self.general_params)
+        return TYPED_PARAMS + len(self.general_params)
 
     @property
     def extra(self) -> int:
@@ -78,10 +87,9 @@ class EpochConfig:
             raise ValueError("num_shards must be >= 1")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
-        if not self.slot_duration > 4 * lam_bound:
-            raise ValueError(
-                f"slot duration {self.slot_duration} must exceed 4*lambda = {4 * lam_bound}"
-            )
+        if not (math.isfinite(self.slot_duration) and self.slot_duration > 4 * lam_bound):
+            raise ValueError(f"slot duration {self.slot_duration} must be finite and "
+                             f"exceed 4*lambda = {4 * lam_bound}")
         for slot in range(1, self.num_slots + 1):
             for shard in range(1, self.num_shards + 1):
                 node = self.assignment.get((slot, shard))
@@ -92,28 +100,17 @@ class EpochConfig:
         return {s: self.assignment[(slot, s)] for s in range(1, self.num_shards + 1)}
 
     def vector(self) -> list[bytes]:
-        """The epoch parameters as alpha + beta*Ns components: the general
-        parameters, then per shard its creator for each slot and its extra
-        parameters.  ``apply_epoch_output`` decodes this layout."""
-        out = list(self.general_params)
+        """The epoch parameters as alpha + beta*Ns components of 8 bytes: shard
+        count, slot count (``>Q``) and slot duration (``>d``), the opaque
+        general parameters, then per shard its creator (``>Q``) for each slot
+        and its extra parameters.  ``apply_epoch_output`` decodes this layout."""
+        out = [struct.pack(">Q", self.num_shards), struct.pack(">Q", self.num_slots),
+               struct.pack(">d", self.slot_duration), *self.general_params]
         for shard in range(1, self.num_shards + 1):
             for slot in range(1, self.num_slots + 1):
-                out.append(self.assignment[(slot, shard)].to_bytes(8, "big"))
+                out.append(struct.pack(">Q", self.assignment[(slot, shard)]))
             out.extend(self.shard_params[shard])
         return out
-
-
-def default_general_params(alpha: int, entropy: bytes, num_shards: int, num_slots: int,
-                           slot_duration: float) -> list[bytes]:
-    """Layout: [0]=shard count, [1]=slot count, [2]=duration, rest opaque."""
-    out = [
-        num_shards.to_bytes(8, "big"),
-        num_slots.to_bytes(8, "big"),
-        struct.pack(">d", slot_duration),
-    ]
-    for k in range(3, alpha):
-        out.append(crypto.digest(entropy, b"gp", k.to_bytes(4, "big"))[:8])
-    return out
 
 
 def derive_assignment(entropy: bytes, num_slots: int, num_shards: int, n_nodes: int):
@@ -129,16 +126,15 @@ def derive_assignment(entropy: bytes, num_slots: int, num_shards: int, n_nodes: 
 def genesis_config(entropy: bytes, n_nodes: int, num_shards: int, num_slots: int,
                    slot_duration: float, alpha: int = 20, extra_shard_params: int = 1):
     assignment = derive_assignment(entropy, num_slots, num_shards, n_nodes)
+    general_params = [crypto.digest(entropy, b"gp", k.to_bytes(4, "big"))[:8]
+                      for k in range(TYPED_PARAMS, alpha)]
     shard_params = {
         s: [crypto.digest(entropy, b"sp", s.to_bytes(4, "big"), k.to_bytes(4, "big"))[:8]
             for k in range(extra_shard_params)]
         for s in range(1, num_shards + 1)
     }
-    return EpochConfig(
-        0, num_shards, num_slots, slot_duration,
-        assignment, default_general_params(alpha, entropy, num_shards, num_slots, slot_duration),
-        shard_params,
-    )
+    return EpochConfig(0, num_shards, num_slots, slot_duration, assignment, general_params,
+                       shard_params)
 
 
 # ---------------------------------------------------------------------------
@@ -264,42 +260,39 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
                        n_nodes: int, lam_bound: float) -> EpochConfig:
     """Merge agreed epoch parameters over the previous configuration.
 
-    Blank general components carry the previous epoch's value; blank
-    assignment components fall back to a deterministic round-robin over the
-    previous epoch's creator set.  A structurally inconsistent vector
-    (layout/agreed shard count mismatch, invalid nodes) raises
-    EpochRejected; the caller then retains the previous config wholesale.
+    Every typed component (shard count, slot count, slot duration and each
+    creator of list L) is read by one decoder: a blank gives the previous
+    epoch's value, or for a creator a deterministic round-robin over the
+    previous epoch's creator set, and a length other than 8 bytes is
+    rejected.  Blank opaque components carry the previous value.  A
+    structurally inconsistent vector (malformed component, layout/agreed
+    shard count mismatch, invalid node or duration) raises EpochRejected;
+    the caller then retains the previous config wholesale.
     """
     alpha, beta, extra = prev.alpha, prev.beta, prev.extra
     if (len(parameters) - alpha) % beta != 0:
         raise EpochRejected("parameter vector does not tile into per-shard blocks")
     ns_layout = (len(parameters) - alpha) // beta
 
-    def _int_param(idx, fallback):
+    def decode(idx, fmt, fallback):
         raw = parameters[idx]
         if raw is None:
             return fallback
         if len(raw) != 8:
-            raise EpochRejected(f"component {idx}: bad integer encoding")
-        return int.from_bytes(raw, "big")
+            raise EpochRejected(f"component {idx}: {len(raw)} bytes, need 8")
+        return struct.unpack(fmt, raw)[0]
 
-    num_shards = _int_param(0, ns_layout)
-    num_slots = _int_param(1, prev.num_slots)
-    raw_dur = parameters[2]
-    slot_duration = prev.slot_duration if raw_dur is None else struct.unpack(">d", raw_dur)[0]
-
+    num_shards = decode(0, ">Q", ns_layout)
+    num_slots = decode(1, ">Q", prev.num_slots)
+    slot_duration = decode(2, ">d", prev.slot_duration)
     if num_shards != ns_layout:
         raise EpochRejected(
             f"agreed shard count {num_shards} contradicts the list-L layout {ns_layout}"
         )
     if num_slots != prev.num_slots:
         raise EpochRejected("slot count is fixed per deployment")
-
     general = [prev.general_params[k] if raw is None else raw
-               for k, raw in enumerate(parameters[:alpha])]
-    general[0] = num_shards.to_bytes(8, "big")
-    general[1] = num_slots.to_bytes(8, "big")
-    general[2] = struct.pack(">d", slot_duration)
+               for k, raw in enumerate(parameters[TYPED_PARAMS:alpha])]
 
     prev_creators = sorted({v for v in prev.assignment.values()})
     assignment = {}
@@ -308,18 +301,14 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
     for shard in range(1, num_shards + 1):
         base = alpha + (shard - 1) * beta
         for slot in range(1, num_slots + 1):
-            raw = parameters[base + slot - 1]
-            if raw is None:
+            node = decode(base + slot - 1, ">Q", None)
+            if node is None:
                 node = prev_creators[fallback_i % len(prev_creators)]
                 fallback_i += 1
-            else:
-                if len(raw) != 8:
-                    raise EpochRejected(f"assignment for slot {slot} shard {shard} malformed")
-                node = int.from_bytes(raw, "big")
-                if not 0 <= node < n_nodes:
-                    raise EpochRejected(
-                        f"assignment for slot {slot} shard {shard} references node {node}"
-                    )
+            elif not 0 <= node < n_nodes:
+                raise EpochRejected(
+                    f"assignment for slot {slot} shard {shard} references node {node}"
+                )
             assignment[(slot, shard)] = node
         fallback = prev.shard_params.get(shard) or \
             [crypto.digest(b"sp-fallback", shard.to_bytes(4, "big"))[:8]] * extra
@@ -333,15 +322,6 @@ def apply_epoch_output(parameters: list[bytes | None], prev: EpochConfig,
     except ValueError as exc:
         raise EpochRejected(str(exc)) from exc
     return cfg
-
-
-def carried_over(prev: EpochConfig) -> EpochConfig:
-    """Previous configuration retained wholesale, epoch counter advanced."""
-    return EpochConfig(
-        prev.epoch + 1, prev.num_shards, prev.num_slots, prev.slot_duration,
-        dict(prev.assignment), list(prev.general_params),
-        {s: list(p) for s, p in prev.shard_params.items()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +621,9 @@ def run_chain(
                 try:
                     next_config = apply_epoch_output(raw_params, config, net.n, lam_block)
                 except EpochRejected as exc:
+                    # The previous configuration is retained wholesale.
                     net.trace.add(0.0, 0.0, -1, "epoch-rejected", label, "-", 0, "", str(exc))
-                    next_config = carried_over(config)
+                    next_config = replace(config, epoch=config.epoch + 1)
                 epoch_data = EpochData(raw_params, dict(next_config.assignment))
 
             sync = SyncBlock(prev_digest, config.epoch, slot, list(shard_digests), epoch_data)

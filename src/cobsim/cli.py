@@ -99,17 +99,24 @@ def cmd_chain(args) -> int:
     return EXIT_OK
 
 
-def load_registry(path) -> KeyRegistry:
+def load_registry(path, n_nodes) -> KeyRegistry:
+    """The key registry of a dump over ``n_nodes`` nodes.  Its ``n`` is
+    checked before any key is derived."""
     with open(path) as fh:
         data = json.load(fh)
-    return KeyRegistry(data["n"], bytes.fromhex(data["master"]))
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"registry n must be a positive integer, got {n!r:.40}")
+    if n != n_nodes:
+        raise ValueError(f"registry n {n} does not match the dump's n {n_nodes!r:.40}")
+    return KeyRegistry(n, bytes.fromhex(data["master"]))
 
 
 def cmd_verify(args) -> int:
     try:
         with open(args.chain) as fh:
             dump = json.load(fh)
-        registry = load_registry(args.registry)
+        registry = load_registry(args.registry, dump["n"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG

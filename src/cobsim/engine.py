@@ -255,7 +255,7 @@ def verify_certificate(
             continue
         seen.add(vote.node_id)
         if not 0 <= vote.node_id < registry.num_nodes:
-            return fail(f"supporter {vote.node_id}: sortition output mismatch")
+            return fail(f"supporter {vote.node_id}: unknown node")
         proof = sortition.draw(step, vote.node_id, registry)
         if proof is None:
             return fail(f"supporter {vote.node_id}: not selected for the final step")

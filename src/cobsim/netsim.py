@@ -745,16 +745,17 @@ class Network:
 RULE_CELLS = 1 << 15  # (node, component, value) cells per rule call
 
 
-def mgc_message_size_bound(params: CobParams) -> int:
-    # Worst case: every component carries a 64-byte value.
-    return 32 + 4 + 1 + 2 + params.m * 66 + 100 + crypto.SIG_SIZE
+def mgc_message_size_bound(m: int) -> int:
+    """Bytes of the largest step message of an m-component instance: every
+    component carries a 64-byte value."""
+    return 32 + 4 + 1 + 2 + m * 66 + 100 + crypto.SIG_SIZE
 
 
 def step_length(net: Network, params: CobParams) -> float:
     """Time between an instance's step deadlines: twice the diffusion bound
     of its largest step message.  The runner and the adversary strategies
     that time their sends against the deadlines both read it here."""
-    return 2.0 * net.lam(mgc_message_size_bound(params))
+    return 2.0 * net.lam(mgc_message_size_bound(params.m))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain as chain_mod
-from . import crypto, engine, netsim
+from . import crypto, engine, mbba, netsim
 from .crypto import KeyRegistry
 from .values import MAX_VALUE_BYTES
 
@@ -115,13 +115,37 @@ class ScenarioConfig:
             req(self.epochs >= 1, "epochs", "need at least one epoch")
             req(self.num_shards >= 1, "num_shards", "need at least one shard")
             req(self.num_slots >= 1, "num_slots", "need at least one slot")
-            req(self.alpha >= 3, "alpha", "layout reserves three general components")
+            req(self.alpha >= chain_mod.TYPED_PARAMS, "alpha",
+                f"layout reserves {chain_mod.TYPED_PARAMS} typed general components")
             req(self.extra_shard_params >= 0, "extra_shard_params", "must be non-negative")
             req(self.block_size >= 1, "block_size", "must be positive")
+        self._validate_deadlines()
+        if self.mode == "chain":
             lam_block = chain_mod.block_lambda(self.lam_base, self.lam_per_byte, self.block_size)
             req(self.slot_duration > 4 * lam_block, "slot_duration", f"must exceed "
                 f"4*lambda(block) = {4 * lam_block:.6g} at block_size {self.block_size}")
         return self
+
+    def _validate_deadlines(self):
+        """Reject a diffusion bound that makes a step deadline infinite, naming
+        ``lam_base``, or ``lam_per_byte`` when ``lam_base`` alone is safe.  The
+        latest deadline is that of the last step of the largest instance (m
+        components in simulate mode, Nc in chain mode): its start offset plus
+        the step's deadline index times the step length 2*lambda(size bound)."""
+        if self.mode == "simulate":
+            m, start = self.m, self.initial_skew
+        else:
+            beta = self.num_slots + self.extra_shard_params
+            m = chain_mod.compute_nc(self.alpha, beta, self.num_shards, self.num_shards)
+            start = self.initial_skew + self.slot_duration
+        size = netsim.mgc_message_size_bound(m)
+        last = engine.step_index(("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN))
+        for name, per_byte in (("lam_base", 0.0), ("lam_per_byte", self.lam_per_byte)):
+            step = 2.0 * netsim.diffusion_bound(self.lam_base, per_byte, size)
+            if not math.isfinite(start + last * step):
+                raise ConfigError(name, f"too large: the last step deadline of a {m}-component "
+                                  f"instance, {start:g} + {last} * 2*lambda({size} bytes), "
+                                  f"is not finite")
 
     def _validate_types(self):
         """Reject a field whose value does not match its annotation.  An int

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -110,13 +114,15 @@ def test_vector_round_trips_through_apply_epoch_output(extra):
             assert got.assignment == cfg.assignment
             assert got.general_params == cfg.general_params
             assert got.shard_params == cfg.shard_params
+            assert got.vector() == vec
 
 
 def test_epoch_observation_lays_out_the_derived_config():
     prev = chain.genesis_config(crypto.digest(b"cfg"), 33, 3, 4, 40.0, alpha=6,
                                 extra_shard_params=2)
     entropy = crypto.digest(b"ent")
-    want = chain.default_general_params(6, entropy, 3, 4, 40.0)
+    want = [(3).to_bytes(8, "big"), (4).to_bytes(8, "big"), struct.pack(">d", 40.0)]
+    want += [crypto.digest(entropy, b"gp", k.to_bytes(4, "big"))[:8] for k in range(3, 6)]
     assignment = chain.derive_assignment(entropy, 4, 3, 33)
     for shard in range(1, 4):
         want += [assignment[(slot, shard)].to_bytes(8, "big") for slot in range(1, 5)]
@@ -207,6 +213,25 @@ def test_apply_epoch_output_rejects_unknown_node():
     props[prev.alpha] = (1000).to_bytes(8, "big")
     with pytest.raises(chain.EpochRejected):
         chain.apply_epoch_output(props, prev, 33, 1.0)
+
+
+@pytest.mark.parametrize("component, raw", [
+    (2, struct.pack(">d", 40.0)[:7]),  # slot duration, 7 bytes
+    ("creator", (5).to_bytes(7, "big")),  # first creator of shard 1, 7 bytes
+    (2, struct.pack(">d", math.inf)),
+    (2, struct.pack(">d", math.nan)),
+], ids=["short-duration", "short-creator", "inf-duration", "nan-duration"])
+def test_apply_epoch_output_rejects_malformed_components(component, raw):
+    prev = make_config()
+    props = chain.epoch_observation(prev, crypto.digest(b"ent"), 33)
+    idx = prev.alpha if component == "creator" else component
+    props[idx] = raw
+    with pytest.raises(chain.EpochRejected) as err:
+        chain.apply_epoch_output(props, prev, 33, 1.0)
+    if len(raw) != 8:
+        assert str(err.value) == f"component {idx}: 7 bytes, need 8"
+    else:
+        assert "must be finite" in str(err.value)
 
 
 # -- slot and chain runs ---------------------------------------------------------
@@ -330,6 +355,27 @@ def test_partitioned_evidence_blanks_component_and_falls_back():
     assert last.block.epoch_data is not None
     assert last.block.epoch_data.parameters[0] is None  # blanked
     assert res.configs[1].num_shards == cfg.num_shards  # fallback to layout
+
+
+def test_rejected_epoch_data_carries_the_configuration_over():
+    # Every node proposes shard count 5 over a two-shard list-L layout: the
+    # network agrees on it, the merge rejects it, and each epoch keeps the
+    # previous configuration with only its counter advanced.
+    net = make_network(n=33, seed=26)
+    cfg = make_config(33, 2, 2)
+    overrides = {v: (5).to_bytes(8, "big") for v in range(33)}
+    res = chain.run_chain(net, b"chainT", 2, cfg, rng=np.random.default_rng(26),
+                          evidence_overrides=overrides)
+    assert len(res.blocks) == 4
+    rejected = [r for r in net.trace.records if r[3] == "epoch-rejected"]
+    assert [r[8] for r in rejected] == \
+        ["agreed shard count 5 contradicts the list-L layout 2"] * 2
+    for rec in (res.blocks[1], res.blocks[3]):
+        assert rec.block.epoch_data.parameters[0] == (5).to_bytes(8, "big")
+    assert [c.epoch for c in res.configs] == [0, 1, 2]
+    for c in res.configs[1:]:
+        assert c == dataclasses.replace(cfg, epoch=c.epoch)
+    assert chain.verify_chain_dump(chain.dump_chain(res, 33), net.registry) == 4
 
 
 def test_chain_bootstrap_honours_zero_skew(monkeypatch):

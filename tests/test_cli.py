@@ -148,6 +148,16 @@ def test_verify_non_hex_master_is_unreadable_input(tmp_path, chain_dump, capsys)
     assert "cannot read inputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [0, -3, True, 17, 34, "33", None])
+def test_verify_checks_the_registry_size_first(tmp_path, chain_dump, capsys, n):
+    # The dump is over 33 nodes; a registry of any other size is unreadable
+    # input, refused before a key is derived.
+    dump, registry = chain_dump
+    assert verify(tmp_path, dump, {**registry, "n": n}) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read inputs: registry n ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage", ["missing values", "bad hex"])
 def test_verify_malformed_block_names_reason(tmp_path, chain_dump, capsys, damage):
     dump, registry = chain_dump
@@ -253,6 +263,23 @@ def test_infinite_setting_is_a_config_error(tmp_path, capsys, command, field):
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"invalid config: config field '{field}': must be finite\n"
+
+
+@pytest.mark.parametrize("command, over, field", [
+    ("simulate", {"lam_base": 1e308}, "lam_base"),
+    ("simulate", {"lam_per_byte": 1e305}, "lam_per_byte"),
+    ("chain", {"lam_base": 1e306, "slot_duration": 1e307}, "lam_base"),
+])
+def test_overflowing_step_deadline_is_a_config_error(tmp_path, capsys, command, over, field):
+    # Finite settings whose last step deadline, 99 step lengths after the
+    # start, overflows to infinity.
+    base = {**SIM, "n": 10, "committee": 10, "m": 2} if command == "simulate" else CHAIN
+    path = write_config(tmp_path, "lam.json", {**base, **over})
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: config field '{field}': too large: the last step "
+                          "deadline of a ")
+    assert err.endswith("is not finite\n")
 
 
 PLAN_DEFAULT = {"kind": "unanimous"}

@@ -217,7 +217,7 @@ def test_certificate_roundtrip_and_mutations():
     for bad, reason in [
         (dataclasses.replace(victim, node_id=(victim.node_id + 1) % net.n),
          "sortition output mismatch"),
-        (dataclasses.replace(victim, node_id=net.n), "sortition output mismatch"),
+        (dataclasses.replace(victim, node_id=net.n), "unknown node"),
         (dataclasses.replace(victim, pseudo_vrf_output=bytes(32)), "sortition output mismatch"),
         (dataclasses.replace(victim, signature=bytes(64)), "bad signature"),
     ]:

@@ -105,6 +105,8 @@ def test_verify_rejects_bit_flips(registry):
         (dataclasses.replace(vote, signature=flip(vote.signature, 0)),
          "supporter 7: bad signature"),
         (dataclasses.replace(vote, node_id=8), "supporter 8: sortition output mismatch"),
+        (dataclasses.replace(vote, node_id=40), "supporter 40: unknown node"),
+        (dataclasses.replace(vote, node_id=-1), "supporter -1: unknown node"),
     ]:
         assert verify_reasons(registry, inst, [bad] + rest, tau) == [reason]
 
