@@ -5,10 +5,15 @@ the bit mapping, the binary-agreement loop, a signed final vote, and
 output assembly.  A node participates actively in a step only when
 sortition elects it; every node tallies passively and produces the output.
 
-A node's place is its step key (``CobNodeState.step``, advanced by
-``next_step``).  A message is one ``SendPlan`` carrying the row its step
-tallies, and a node's view at a deadline is its (m, V) tally of those
-rows: the engine encodes agreement votes as ``vote_row`` and decodes them.
+A step is one int, its deadline index: its deadline is the instance's
+start plus the index times the step length.  ``START`` (0) is the start
+event, 1..``GRADED`` are the graded steps, agreement iteration i, phase p
+is ``AGREEMENT + 3i + p``, below ``END``, and the final step is ``END``.
+``agreement`` is the one decoder of an agreement step.  A node's place is
+its step (``CobNodeState.step``); the next one is ``step + 1``.  A
+message is one ``SendPlan`` carrying the row its step tallies, and a
+node's view at a deadline is its (m, V) tally of those rows: the engine
+encodes agreement votes as ``vote_row`` and decodes them.
 The rules of a step run for many nodes at once (``step_outcomes``, one
 call per rule over their stacked tallies); each node then applies its own
 row at its own deadline (``on_step_deadline``).
@@ -33,26 +38,24 @@ from .values import ValueInterner
 
 PURPOSES = ("slot_timing", "epoch_reconfig", "synchronization_setup")
 
-# Step keys: ("mgc", 1..3) | ("mbba", iteration, phase) | ("final",)
-FINAL_STEP = ("final",)
-MBBA_BASE_INDEX = 4  # deadline index of ("mbba", 0, 0)
+START = 0
+GRADED = 3
+AGREEMENT = GRADED + 1
+END = AGREEMENT + 3 * mbba.ITERATION_CAP
+FINAL_STEP = END  # above every agreement step, so no test for "graded" passes it
 
 
-def step_index(step_key) -> int:
-    """Deadline index of a step: its deadline is start + index * step length."""
-    if step_key[0] == "mgc":
-        return step_key[1]
-    if step_key[0] == "mbba":
-        return MBBA_BASE_INDEX + step_key[1] * 3 + step_key[2]
-    raise ValueError(step_key)
+def agreement(step: int) -> tuple[int, int]:
+    """(iteration, phase) of an agreement step."""
+    return divmod(step - AGREEMENT, 3)
 
 
-def step_label(step_key) -> str:
-    if step_key[0] == "mgc":
-        return f"mgc-{step_key[1]}"
-    if step_key[0] == "mbba":
-        return f"mbba-{step_key[1]}-{step_key[2]}"
-    return "final"
+def step_label(step: int) -> str:
+    if step <= GRADED:
+        return f"mgc-{step}"
+    if step == FINAL_STEP:
+        return "final"
+    return "mbba-%d-%d" % agreement(step)
 
 
 @dataclass(frozen=True)
@@ -109,33 +112,33 @@ class CobParams:
         self.digest = instance.digest()
         self.interner = ValueInterner()
         self._started: set[int] = set()
-        self._lotteries: dict[tuple, sortition.Lottery] = {}
+        self._lotteries: dict[int, sortition.Lottery] = {}
         self._outputs: dict[tuple[bytes, bytes], tuple[list, bytes]] = {}
 
-    def step_seed(self, step_key) -> sortition.SortitionSeed:
-        if step_key[0] == "mgc":
-            round_id, step_id = 0, step_key[1]
-        elif step_key[0] == "mbba":
-            round_id, step_id = 1 + step_key[1], step_key[2]
-        elif step_key == FINAL_STEP:
+    def step_seed(self, step: int) -> sortition.SortitionSeed:
+        if step == FINAL_STEP:
             return final_seed(self.digest, self.entropy)
+        if not START < step < END:
+            raise ValueError(f"bad step {step}")
+        if step <= GRADED:
+            round_id, step_id = 0, step
         else:
-            raise ValueError(f"bad step key {step_key}")
+            iteration, step_id = agreement(step)
+            round_id = 1 + iteration
         return sortition.SortitionSeed(round_id, step_id, self.digest, self.entropy)
 
-    def lottery(self, step_key) -> sortition.Lottery:
+    def lottery(self, step: int) -> sortition.Lottery:
         """A step's sortition lottery, built once per step; the final step
         seats everyone."""
-        step = self._lotteries.get(step_key)
-        if step is None:
-            tau = self.n if step_key == FINAL_STEP else self.tau
-            step = self._lotteries[step_key] = sortition.lottery(
-                self.step_seed(step_key), tau, self.n)
-        return step
+        lottery = self._lotteries.get(step)
+        if lottery is None:
+            tau = self.n if step == FINAL_STEP else self.tau
+            lottery = self._lotteries[step] = sortition.lottery(self.step_seed(step), tau, self.n)
+        return lottery
 
-    def draw(self, step_key, node: int) -> sortition.SortitionProof | None:
+    def draw(self, step: int, node: int) -> sortition.SortitionProof | None:
         """The node's selection proof for a step."""
-        return sortition.draw(self.lottery(step_key), node, self.registry)
+        return sortition.draw(self.lottery(step), node, self.registry)
 
     def output(self, theta: np.ndarray, bits) -> tuple[list, bytes]:
         """(output values, output digest) of a node's theta (value ids) under
@@ -292,18 +295,6 @@ class CobOutput:
 # Per-node state machine.
 
 
-def next_step(step_key) -> tuple:
-    """The step after ``step_key``: mgc 1 -> 2 -> 3 -> ("mbba", 0, 0), then
-    the agreement phases in order, each coin phase followed by phase 0 of
-    the next iteration.  ``_advance`` applies the iteration cap."""
-    if step_key[0] == "mgc":
-        return ("mgc", step_key[1] + 1) if step_key[1] < 3 else ("mbba", 0, 0)
-    _, iteration, phase = step_key
-    if phase == mbba.PHASE_COIN:
-        return ("mbba", iteration + 1, 0)
-    return ("mbba", iteration, phase + 1)
-
-
 VOTE_VALUES = 4  # vote-row ids: bit + 2 * flag
 
 
@@ -319,7 +310,7 @@ class SendPlan:
     of a final (which also carries ``theta_digest``).  A strategy may mask
     destinations (bool (n,); None reaches everyone) or add a ``delay``."""
 
-    step_key: tuple
+    step: int
     row: np.ndarray
     proof: sortition.SortitionProof
     theta_digest: bytes | None = None
@@ -332,7 +323,7 @@ class CobNodeState:
         self.params = params
         self.node = node
         self.observation = observation_ids
-        self.step: tuple | None = ("mgc", 1)  # next deadline; None once done
+        self.step: int | None = START + 1  # next deadline; None once done
         self.theta: np.ndarray | None = None
         self.grades: np.ndarray | None = None
         self.bits: np.ndarray | None = None
@@ -377,7 +368,7 @@ def _final_send(state: CobNodeState) -> list[SendPlan]:
     return [SendPlan(FINAL_STEP, state.bits.copy(), proof, theta_dig)]
 
 
-def step_outcomes(params: CobParams, step_key: tuple, states: list[CobNodeState],
+def step_outcomes(params: CobParams, step: int, states: list[CobNodeState],
                   counts: np.ndarray, coins: np.ndarray | None = None) -> tuple:
     """One step's rules for several nodes at once, one call per rule.
 
@@ -388,12 +379,12 @@ def step_outcomes(params: CobParams, step_key: tuple, states: list[CobNodeState]
     1 and 2, (theta, grades) at step 3, and (bits, decided, newly decided)
     in an agreement phase.
     """
-    if step_key[0] == "mgc":
-        if step_key[1] < 3:
+    if step <= GRADED:
+        if step < GRADED:
             return (mgc.echo_filter(counts),)
         ranks = np.array(params.interner.digest_ranks(), dtype=np.int64)
         return mgc.finalize(counts, ranks, params.t_high, params.t_low)
-    phase = step_key[2]
+    phase = agreement(step)[1]
     # Column = vote_row id (bit + 2 * flag); a flagged vote also counts for its bit.
     flagged_zeros, flagged_ones = counts[..., 2], counts[..., 3]
     return mbba.phase_transition(
@@ -403,19 +394,19 @@ def step_outcomes(params: CobParams, step_key: tuple, states: list[CobNodeState]
     )
 
 
-def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[SendPlan]:
+def on_step_deadline(state: CobNodeState, step: int, row: tuple) -> list[SendPlan]:
     """Advance the node past one step deadline.  Returns the next sends.
 
     ``row`` is the node's row of ``step_outcomes`` for this step.
     """
     if state.step is None or state.halted:
         return []
-    if step_key != state.step:
-        raise ValueError(f"deadline {step_key} does not match the node's step {state.step}")
+    if step != state.step:
+        raise ValueError(f"deadline {step} does not match the node's step {state.step}")
 
-    if step_key[0] == "mgc":
-        state.step = next_step(step_key)
-        if step_key[1] < 3:
+    if step <= GRADED:
+        state.step = step + 1
+        if step < GRADED:
             return _send(state, row[0])
         # step 3: grade and move to the agreement loop
         state.theta, state.grades = row
@@ -423,7 +414,7 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[S
         state.decided = np.zeros(state.params.m, dtype=bool)
         return _mbba_send(state)
 
-    _, iteration, phase = step_key
+    iteration, phase = agreement(step)
     state.bits, state.decided, newly = row
     for comp in np.nonzero(newly)[0]:
         state.decision_log.append((iteration, phase, int(comp), int(state.bits[comp])))
@@ -440,8 +431,8 @@ def on_step_deadline(state: CobNodeState, step_key: tuple, row: tuple) -> list[S
 def _advance(state: CobNodeState) -> bool:
     """Move to the next agreement step.  At the iteration cap the node has
     no next deadline (``step`` None) and this returns False."""
-    step = next_step(state.step)
-    state.step = step if step[1] < mbba.ITERATION_CAP else None
+    step = state.step + 1
+    state.step = step if step < END else None
     return state.step is not None
 
 

@@ -66,6 +66,8 @@ def finalize(
     The winning value per component is the non-BOT value with the highest
     count, ties broken toward the lexicographically smallest value digest.
     count >= t_high -> grade 2; >= t_low -> grade 1; else (BOT, 0).
+    ``digest_ranks`` may rank more values than ``counts`` has columns; the
+    outcome is that of ``counts`` padded with zero columns to that width.
     Returns (theta value ids, grades), shapes (..., m).
     """
     if not t_low < t_high:
@@ -78,12 +80,12 @@ def finalize(
             np.zeros(m_shape, dtype=np.int32),
             np.zeros(m_shape, dtype=np.int32),
         )
-    ranks = np.asarray(digest_ranks)[1:]
     # Deterministic argmax: maximize count, then minimize digest rank.
-    nvals = vals.shape[-1]
+    scale = len(digest_ranks)
+    ranks = np.asarray(digest_ranks)[1:counts.shape[-1]]
     key = vals.astype(np.int64)
-    key *= nvals + 1
-    key += nvals - ranks.astype(np.int64)
+    key *= scale
+    key += scale - 1 - ranks.astype(np.int64)
     best = np.argmax(key, axis=-1).astype(np.int32) + 1
     best_count = np.take_along_axis(vals, best[..., None] - 1, axis=-1)[..., 0]
     floor = max(t_low, 1)  # a grade needs at least one actual vote

@@ -54,17 +54,18 @@ rules in one call for every node at that step that has not halted.  Sends
 happen one full step earlier, so the pool is usually complete by then;
 when the clock skew exceeds a step, a row that joins later drops the
 cached tally, and the next deadline evaluates the tally and the rules
-again for the nodes still at that step.
+again for the nodes still at that step.  Nothing else changes a tally: a
+value interned after it would only add a column of zeros.
 
 Every pool stores each accepted row once.  A step pool is the one record
 of its step: the runner builds it with the step's (n,) deadline vector,
-the only place the deadline formula is evaluated, and reads each node's
-next deadline from it.  It appends payload and delivery rows to two
-growing matrices, which its tally reads sorted by sender at those
-deadlines, and caches its latest tally next to the rule batch computed
-from it.  A step pool lives as long as its step: once the event loop pops
-a time past its release time, the largest finite deadline, the runner
-releases it, which drops its rows, tally, sortition outputs and rule
+start + step * step length (a step is its deadline index), the only place
+that formula is evaluated, and reads each node's next deadline from it.
+It appends payload and delivery rows to two growing matrices, which its
+tally reads sorted by sender at those deadlines, and caches its tally of
+the rows present next to the rule batch computed from it.  A step pool
+lives as long as its step: once the event loop pops a time past its
+release time, the largest finite deadline, the runner releases it, which drops its rows, tally, sortition outputs and rule
 batch and closes its delivery matrix.  Its digests stay, so a late
 duplicate is still rejected, and a late new send is still traced and
 queued, so it still moves its origin's FIFO floor; its row joins no
@@ -354,8 +355,8 @@ class EquivocateStrategy(Strategy):
         mask = net.adv_rng.random(net.n) < 0.5
         junk = _junk_row(params, plan, shared=False)
         return [
-            SendPlan(plan.step_key, plan.row, plan.proof, plan.theta_digest, mask),
-            SendPlan(plan.step_key, junk, plan.proof, plan.theta_digest, ~mask),
+            SendPlan(plan.step, plan.row, plan.proof, plan.theta_digest, mask),
+            SendPlan(plan.step, junk, plan.proof, plan.theta_digest, ~mask),
         ]
 
 
@@ -368,7 +369,7 @@ class WithholdThenReleaseStrategy(Strategy):
         step_len = step_length(net, params)
         lo = max(0.0, step_len - 2.0 * net.lam(512))
         delay = float(net.adv_rng.uniform(lo, step_len))
-        return [SendPlan(plan.step_key, plan.row, plan.proof, plan.theta_digest, None, delay)]
+        return [SendPlan(plan.step, plan.row, plan.proof, plan.theta_digest, None, delay)]
 
 
 class BitFlipStrategy(Strategy):
@@ -378,7 +379,7 @@ class BitFlipStrategy(Strategy):
 
     def message_plans(self, net, node, plan, params):
         junk = _junk_row(params, plan, shared=True)
-        return [SendPlan(plan.step_key, junk, plan.proof, plan.theta_digest)]
+        return [SendPlan(plan.step, junk, plan.proof, plan.theta_digest)]
 
 
 class LateBlockStrategy(Strategy):
@@ -401,9 +402,10 @@ def _junk_row(params, plan: SendPlan, shared: bool) -> np.ndarray:
     """Replacement row for an adversarial variant of one message: one junk
     value id everywhere in a graded step, else every bit inverted with no
     flag."""
-    if plan.step_key[0] == "mgc":
+    if plan.step <= engine.GRADED:
         tag = b"flip" if shared else b"equiv"
-        junk_bytes = crypto.digest(params.digest, tag, repr(plan.step_key).encode())[:8]
+        # The golden trace digests fix these bytes: they hash repr(("mgc", step)).
+        junk_bytes = crypto.digest(params.digest, tag, repr(("mgc", plan.step)).encode())[:8]
         vid = params.interner.intern(junk_bytes)
         return np.full(params.m, vid, dtype=np.int32)
     return 1 - (plan.row & 1)
@@ -470,8 +472,8 @@ class Pool:
     A step pool is the record of its step: ``deadlines`` is the step's (n,)
     deadline vector, which its tally and coin reads use, and ``release_at``
     its largest finite entry.  It appends every accepted variant's payload
-    and delivery row to two growing matrices and caches its latest tally
-    next to ``batch``, the runner's rule batch over that tally, until
+    and delivery row to two growing matrices and caches its tally of the
+    rows present next to ``batch``, the runner's rule batch over it, until
     ``release`` drops them.  The final pool (``deadlines`` None) keeps only
     its census: per content (bits, theta digest), the first ``FinalVote``
     of each sender and its arrival times.  A delivery row joins when the
@@ -496,7 +498,7 @@ class Pool:
         self.vrf64: list[int] = []
         self.payloads = _Rows(m, np.int32)
         self.deliveries = _Rows(self.n, np.float64)
-        self._tally: tuple | None = None  # (num_values, counts) of the latest read
+        self._tally: np.ndarray | None = None  # the counts over the rows present
         self.batch: tuple | None = None  # the runner's (counts, present, rows by node)
 
     def add(self, sender, payload_row, delivery: Delivery, digest, vrf_out: bytes) -> bool:
@@ -568,17 +570,19 @@ class Pool:
         return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
 
     def tally(self, num_values: int) -> np.ndarray:
-        """(n, m, V) counts at the step's deadlines; one kernel call per step.
-        Only the latest tally is kept: the interner only grows, so a step
-        read with more values never needs the older counts again."""
+        """(n, m, V) counts at the step's deadlines, one kernel call per set
+        of rows: on the first read, or the first after a row joined.  A
+        later read gets the cached counts even when ``num_values`` has grown
+        since: every pooled row's ids are below the cached width V, so the
+        columns of newer values would be all zeros."""
         self._settle()
-        if self._tally is None or self._tally[0] != num_values:
+        if self._tally is None:
             senders = np.array(self.senders, dtype=np.int32)
             order = np.argsort(senders, kind="stable")
-            self._tally = num_values, kernels.tally_votes(
+            self._tally = kernels.tally_votes(
                 self.deliveries.view()[order], self.deadlines, senders[order],
                 self.payloads.view()[order], num_values)
-        return self._tally[1]
+        return self._tally
 
     def min_vrf(self):
         """(mins, present): per-node minimum sortition output among timely rows."""
@@ -789,26 +793,25 @@ class InstanceRunner:
     def __init__(self, net: Network, params: CobParams, observations, start_local: float = 0.0):
         self.net = net
         self.params = params
-        self.pools: dict[tuple, Pool] = {}
+        self.pools: dict[int, Pool] = {}
         self.start_abs = net.offsets + start_local
         self.step_len = step_length(net, params)
         self.label = f"{params.instance.purpose}/{params.instance.epoch}/{params.instance.slot}"
         self.states = {v: engine.cob_start(params, v, observations[v]) for v in range(net.n)}
-        self._open: list[tuple] = []  # (release_at, step key) of the unreleased step pools
+        self._open: list[tuple] = []  # (release_at, step) of the unreleased step pools
 
-    def pool(self, step_key) -> Pool:
+    def pool(self, step: int) -> Pool:
         """The step's pool, built at its first use with the step's deadlines
-        start + step_index * step length.  The final pool has no deadlines
-        and is never released."""
-        p = self.pools.get(step_key)
+        start + step * step length.  The final pool has no deadlines and is
+        never released."""
+        p = self.pools.get(step)
         if p is None:
-            if step_key == engine.FINAL_STEP:
+            if step == engine.FINAL_STEP:
                 p = Pool(self.net, self.params.m, None)
             else:
-                deadlines = self.start_abs + engine.step_index(step_key) * self.step_len
-                p = Pool(self.net, self.params.m, deadlines)
-                heapq.heappush(self._open, (p.release_at, step_key))
-            self.pools[step_key] = p
+                p = Pool(self.net, self.params.m, self.start_abs + step * self.step_len)
+                heapq.heappush(self._open, (p.release_at, step))
+            self.pools[step] = p
         return p
 
     def _release_before(self, t: float):
@@ -832,29 +835,27 @@ class InstanceRunner:
 
     def _emit(self, node: int, t_abs: float, plan: SendPlan):
         params, net = self.params, self.net
-        key, row = plan.step_key, plan.row
-        if key[0] == "mgc":
-            encoded = engine.encode_mgc_message(params, key[1], node, row, plan.proof)
-        elif key[0] == "mbba":
-            encoded = engine.encode_mbba_message(params, key[1], key[2], node, row, plan.proof)
+        step, row, proof = plan.step, plan.row, plan.proof
+        if step <= engine.GRADED:
+            encoded = engine.encode_mgc_message(params, step, node, row, proof)
+        elif step == engine.FINAL_STEP:
+            encoded = engine.encode_final_body(params.digest, node, row, plan.theta_digest, proof)
         else:
-            encoded = engine.encode_final_body(
-                params.digest, node, row, plan.theta_digest, plan.proof
-            )
+            encoded = engine.encode_mbba_message(params, *engine.agreement(step), node, row, proof)
         sig = net.registry.sign(node, encoded)
         digest = crypto.digest(encoded, sig)
         size = len(encoded) + len(sig)
         # Queued even when the pool rejects it: the send still moves its
         # origin's FIFO floor.
         delivery = net.send(node, t_abs, size, digest, plan.dest_mask, plan.delay)
-        if key[0] == "final":
+        if step == engine.FINAL_STEP:
             row = (bytes(int(b) for b in row), plan.theta_digest, sig)
-        pool = self.pool(key)
-        if pool.add(node, row, delivery, digest, plan.proof.pseudo_vrf_output):
-            self._record(node, t_abs, "send", engine.step_label(key), size, digest[:8].hex())
+        pool = self.pool(step)
+        if pool.add(node, row, delivery, digest, proof.pseudo_vrf_output):
+            self._record(node, t_abs, "send", engine.step_label(step), size, digest[:8].hex())
 
     # -- step rules -------------------------------------------------------------
-    def step_outcome(self, step_key, node: int) -> tuple[tuple, np.ndarray | None]:
+    def step_outcome(self, step: int, node: int) -> tuple[tuple, np.ndarray | None]:
         """(row, present): the node's row of its step's rule outcome, as
         ``engine.on_step_deadline`` applies it, and in a coin phase the
         per-node flags of having counted any vote (None outside coin phases).
@@ -865,21 +866,21 @@ class InstanceRunner:
         and the nodes still at the step then get a new batch, as does a
         node that reaches the step after the batch was made.
         """
-        pool = self.pool(step_key)
-        num_values = len(self.params.interner) if step_key[0] == "mgc" else engine.VOTE_VALUES
+        pool = self.pool(step)
+        num_values = len(self.params.interner) if step <= engine.GRADED else engine.VOTE_VALUES
         counts = pool.tally(num_values)
         batch = pool.batch
         if batch is None or batch[0] is not counts or node not in batch[2]:
-            batch = pool.batch = self._rule_batch(step_key, pool, counts)
+            batch = pool.batch = self._rule_batch(step, pool, counts)
         return batch[2][node], batch[1]
 
-    def _rule_batch(self, step_key, pool: Pool, counts) -> tuple:
-        """Rule outcome rows for every node at ``step_key`` that has not
-        halted.  Only a node's own events change its state, so each row
-        holds until that node's deadline."""
-        members = [v for v, s in self.states.items() if s.step == step_key and not s.halted]
+    def _rule_batch(self, step: int, pool: Pool, counts) -> tuple:
+        """Rule outcome rows for every node at ``step`` that has not halted.
+        Only a node's own events change its state, so each row holds until
+        that node's deadline."""
+        members = [v for v, s in self.states.items() if s.step == step and not s.halted]
         coins = present = None
-        if step_key[0] == "mbba" and step_key[2] == mbba.PHASE_COIN:
+        if step > engine.GRADED and engine.agreement(step)[1] == mbba.PHASE_COIN:
             mins, present = pool.min_vrf()
             coins = mbba.coin_bit(mins, present)
         # Bound the (nodes, m, V) temporaries of one rule call.
@@ -888,7 +889,7 @@ class InstanceRunner:
         for start in range(0, len(members), per_call):
             chunk = members[start:start + per_call]
             outcome = engine.step_outcomes(
-                self.params, step_key, [self.states[v] for v in chunk], counts[chunk],
+                self.params, step, [self.states[v] for v in chunk], counts[chunk],
                 None if coins is None else coins[chunk],
             )
             rows.update(zip(chunk, zip(*outcome)))
@@ -936,11 +937,11 @@ class InstanceRunner:
         net = self.net
         heap: list[tuple] = []
         for v in range(net.n):
-            heapq.heappush(heap, (float(self.start_abs[v]), v, ("start",)))
+            heapq.heappush(heap, (float(self.start_abs[v]), v, engine.START))
         liveness: list[int] = []
         cut_at = None
         while heap:
-            t, v, key = heapq.heappop(heap)
+            t, v, step = heapq.heappop(heap)
             if not math.isfinite(t):
                 continue  # node unreachable from every honest relay
             if t > horizon:
@@ -949,11 +950,11 @@ class InstanceRunner:
                 break
             self._release_before(t)
             state = self.states[v]
-            if key == ("start",):
+            if step == engine.START:
                 self._record(v, t, "timeout", "start")
                 self.dispatch(v, t, engine.initial_send(state))
             else:
-                self.dispatch(v, t, self._on_deadline(v, t, key, liveness))
+                self.dispatch(v, t, self._on_deadline(v, t, step, liveness))
             if state.step is not None:
                 heapq.heappush(heap, (float(self.pool(state.step).deadlines[v]), v, state.step))
         self._release_before(math.inf)
@@ -964,11 +965,11 @@ class InstanceRunner:
             net.offsets = result.assembly_times.copy()
         return result
 
-    def _on_deadline(self, v: int, t: float, key, liveness: list[int]) -> list[SendPlan]:
-        """Node ``v`` at its deadline ``key``: catch up from the final pool,
+    def _on_deadline(self, v: int, t: float, step: int, liveness: list[int]) -> list[SendPlan]:
+        """Node ``v`` at its deadline ``step``: catch up from the final pool,
         echo once halted, or pass the step.  Returns the node's sends."""
         state = self.states[v]
-        if key[0] == "mbba":
+        if step > engine.GRADED:
             plans = self._maybe_adopt_from_finals(v, t)
             if plans is not None:
                 return plans
@@ -976,13 +977,13 @@ class InstanceRunner:
             # Decided bits keep being echoed with final flags until the
             # node holds a certificate, so stragglers can catch up.
             return engine.on_echo_deadline(state) or []
-        row, present = self.step_outcome(key, v)
-        label = engine.step_label(key)
+        row, present = self.step_outcome(step, v)
+        label = engine.step_label(step)
         if present is not None and not present[v]:
             self._record(v, t, "note", label, note="empty coin phase")
         decisions_before = len(state.decision_log)
         try:
-            plans = engine.on_step_deadline(state, key, row)
+            plans = engine.on_step_deadline(state, step, row)
         except mbba.LivenessError as exc:
             liveness.append(v)
             self._record(v, t, "liveness-failure", label, note=str(exc))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain as chain_mod
-from . import crypto, engine, mbba, netsim
+from . import crypto, engine, netsim
 from .crypto import KeyRegistry
 from .values import MAX_VALUE_BYTES
 
@@ -37,6 +37,8 @@ TOPOLOGY_PARAMS = {"complete": (), "ring": (), "watts_strogatz": ("k", "p"),
 MODES = ("simulate", "chain")
 # Observation plan entry kinds, each with the keys it reads besides "kind".
 PLAN_KINDS = {"unanimous": ("value",), "bot": (), "split": ("values",), "random": ("alphabet",)}
+WIRE_COUNT_MAX = 0xFFFF  # a component count travels in 2 bytes (engine's message encoders)
+BLOCK_SIZE_MAX = 0xFFFFFFFF  # a shard block's payload length travels in 4 bytes
 JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
               dict: "an object", list: "an array", type(None): "null"}
 
@@ -104,9 +106,11 @@ class ScenarioConfig:
                 "late_block retimes shard blocks, which only chain mode has")
             req(0 < self.committee <= self.n, "committee", "must be in (0, n]")
             req(self.m >= 1, "m", "need at least one component")
+            req(self.m <= WIRE_COUNT_MAX, "m", f"at most {WIRE_COUNT_MAX}, the 2-byte wire field")
             req(self.instances >= 1, "instances", "need at least one instance")
             self._validate_observation_plan()
         req(self.initial_skew >= 0, "initial_skew", "must be non-negative")
+        req(self.horizon >= 0, "horizon", "must be non-negative")
         if self.ablate_node is not None:
             req(0 <= self.ablate_node < self.n, "ablate_node", "must be a node id")
         if self.mode == "chain":
@@ -118,7 +122,17 @@ class ScenarioConfig:
             req(self.alpha >= chain_mod.TYPED_PARAMS, "alpha",
                 f"layout reserves {chain_mod.TYPED_PARAMS} typed general components")
             req(self.extra_shard_params >= 0, "extra_shard_params", "must be non-negative")
+            for name in ("alpha", "num_shards", "num_slots", "extra_shard_params"):
+                req(getattr(self, name) <= WIRE_COUNT_MAX, name,
+                    f"at most {WIRE_COUNT_MAX}, the 2-byte wire field of a component count")
+            nc = chain_mod.compute_nc(self.alpha, self.num_slots + self.extra_shard_params,
+                                      self.num_shards, self.num_shards)
+            req(nc <= WIRE_COUNT_MAX, "num_shards", f"the last slot's instance would have "
+                f"alpha + (num_slots + extra_shard_params) * num_shards + num_shards = {nc} "
+                f"components, more than the 2-byte wire field's {WIRE_COUNT_MAX}")
             req(self.block_size >= 1, "block_size", "must be positive")
+            req(self.block_size <= BLOCK_SIZE_MAX, "block_size",
+                f"at most {BLOCK_SIZE_MAX}, the 4-byte length field of a shard block")
         self._validate_deadlines()
         if self.mode == "chain":
             lam_block = chain_mod.block_lambda(self.lam_base, self.lam_per_byte, self.block_size)
@@ -139,7 +153,7 @@ class ScenarioConfig:
             m = chain_mod.compute_nc(self.alpha, beta, self.num_shards, self.num_shards)
             start = self.initial_skew + self.slot_duration
         size = netsim.mgc_message_size_bound(m)
-        last = engine.step_index(("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN))
+        last = engine.END - 1
         for name, per_byte in (("lam_base", 0.0), ("lam_per_byte", self.lam_per_byte)):
             step = 2.0 * netsim.diffusion_bound(self.lam_base, per_byte, size)
             if not math.isfinite(start + last * step):

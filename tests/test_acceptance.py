@@ -202,9 +202,9 @@ class ClaimLateStrategy(netsim.Strategy):
     """Honest votes, except a blank step-1 vector: claims every block was late."""
 
     def message_plans(self, net, node, plan, params):
-        if plan.step_key == ("mgc", 1):
+        if plan.step == 1:
             blank = np.zeros(params.m, dtype=np.int32)
-            return [engine.SendPlan(plan.step_key, blank, plan.proof)]
+            return [engine.SendPlan(plan.step, blank, plan.proof)]
         return super().message_plans(net, node, plan, params)
 
 

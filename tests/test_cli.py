@@ -282,6 +282,38 @@ def test_overflowing_step_deadline_is_a_config_error(tmp_path, capsys, command, 
     assert err.endswith("is not finite\n")
 
 
+WIRE_SIM = {"mode": "simulate", "n": 4, "committee": 4, "topology": "complete",
+            "observation_plan": "bot"}
+WIRE_CHAIN = {"mode": "chain", "n": 4, "topology": "complete", "num_shards": 1, "num_slots": 1}
+
+
+@pytest.mark.parametrize("command, config, field, detail", [
+    ("simulate", {**WIRE_SIM, "m": 65536}, "m", "at most 65535"),
+    ("simulate", {**WIRE_SIM, "m": 10**400}, "m", "at most 65535"),
+    ("chain", {**WIRE_CHAIN, "alpha": 65533}, "num_shards", "= 65536 components"),  # Nc
+    ("chain", {"mode": "chain", "n": 16, "num_shards": 10**400}, "num_shards", "at most 65535"),
+    ("chain", {"mode": "chain", "n": 16, "block_size": 10**400}, "block_size",
+     "at most 4294967295"),
+    ("simulate", {"mode": "simulate", "n": 10, "committee": 10, "m": 2, "horizon": -1},
+     "horizon", "must be non-negative"),
+])
+def test_out_of_range_count_or_horizon_is_a_config_error(tmp_path, capsys, command, config,
+                                                          field, detail):
+    # Component counts travel in 2 bytes and a block's payload length in 4;
+    # a wider value, or a negative horizon, is refused before anything runs.
+    path = write_config(tmp_path, "wide.json", config)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: config field '{field}': ") and "Traceback" not in err
+    assert detail in err
+
+
+def test_the_widest_counts_fit_their_wire_fields():
+    # Validation only: a run at these sizes would ask for a 64 GiB tally.
+    assert scenario.ScenarioConfig.from_dict({**WIRE_SIM, "m": 65535}).m == 65535
+    assert scenario.ScenarioConfig.from_dict({**WIRE_CHAIN, "alpha": 65532}).alpha == 65532
+
+
 PLAN_DEFAULT = {"kind": "unanimous"}
 
 

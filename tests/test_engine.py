@@ -25,16 +25,21 @@ def counts_for(params, payload):
     return c
 
 
-def deadline(state, key, counts, coin_min_vrf=None):
+def agreement_step(iteration, phase):
+    """The step of agreement iteration ``iteration``, phase ``phase``."""
+    return engine.AGREEMENT + 3 * iteration + phase
+
+
+def deadline(state, step, counts, coin_min_vrf=None):
     """Pass one deadline as the runner does, for this node alone: the step's
     rules over its (m, V) tally, then its row applied.  ``coin_min_vrf`` is
     the minimum sortition output among the coin-phase votes counted."""
     coins = None
-    if key[0] == "mbba" and key[2] == mbba.PHASE_COIN:
+    if step > engine.GRADED and engine.agreement(step)[1] == mbba.PHASE_COIN:
         present = coin_min_vrf is not None
         coins = mbba.coin_bit(np.array([coin_min_vrf or 0], dtype=np.uint64), present)
-    outcome = engine.step_outcomes(state.params, key, [state], counts[None], coins)
-    return engine.on_step_deadline(state, key, tuple(part[0] for part in outcome))
+    outcome = engine.step_outcomes(state.params, step, [state], counts[None], coins)
+    return engine.on_step_deadline(state, step, tuple(part[0] for part in outcome))
 
 
 def graded_node(m=2, n=1, tag=b"lifecycle"):
@@ -44,9 +49,9 @@ def graded_node(m=2, n=1, tag=b"lifecycle"):
     state = engine.cob_start(params, 0, [bytes([65 + c]) for c in range(m)])
     payload = state.observation
     for step in (1, 2, 3):
-        sends = deadline(state, ("mgc", step), counts_for(params, payload))
+        sends = deadline(state, step, counts_for(params, payload))
         payload = sends[0].row if step < 3 else None
-    assert state.step == ("mbba", 0, 0)
+    assert state.step == agreement_step(0, 0)
     return state
 
 
@@ -89,7 +94,7 @@ def test_instance_id_purposes():
 def test_cob_start_accepts_matching_length():
     params = make_params(m=3)
     state = engine.cob_start(params, 0, [b"a", None, b"c"])
-    assert state.step == ("mgc", 1)
+    assert state.step == 1
 
 
 def test_cob_start_rejects_length_mismatch():
@@ -261,29 +266,29 @@ def test_single_node_lifecycle_contract():
     params = make_params(m=2, n=1, committee=1, tag=b"single")
     state = engine.cob_start(params, 0, [b"x", b"y"])
     sends = engine.initial_send(state)
-    assert sends and sends[0].step_key == ("mgc", 1)
-    assert state.step == ("mgc", 1)
+    assert sends and sends[0].step == 1
+    assert state.step == 1
     own = np.array(params.interner.intern_vector([b"x", b"y"]), dtype=np.int32)
 
     with pytest.raises(ValueError):
-        deadline(state, ("mgc", 2), counts_for(params, own))
-    sends = deadline(state, ("mgc", 1), counts_for(params, own))
-    assert sends[0].step_key == ("mgc", 2) and state.output is None
+        deadline(state, 2, counts_for(params, own))
+    sends = deadline(state, 1, counts_for(params, own))
+    assert sends[0].step == 2 and state.output is None
     for step in (2, 3):
-        sends = deadline(state, ("mgc", step), counts_for(params, sends[0].row))
+        sends = deadline(state, step, counts_for(params, sends[0].row))
     assert state.grades.tolist() == [2, 2]
     assert state.bits.tolist() == [0, 0]
-    assert state.step == ("mbba", 0, 0)
+    assert state.step == agreement_step(0, 0)
     assert sends[0].row.tolist() == [0, 0]  # bit 0, no flag
     # phase 0 with its own zero-vote reaches the degenerate quorum of one
-    sends = deadline(state, ("mbba", 0, 0), vote_counts([1, 1], [0, 0]))
+    sends = deadline(state, agreement_step(0, 0), vote_counts([1, 1], [0, 0]))
     assert state.halted
-    assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
+    assert [p.step for p in sends] == [engine.FINAL_STEP, agreement_step(0, 1)]
     assert sends[0].row.tolist() == [0, 0]  # the final carries the bits alone
     # halted, the node echoes its decided bits with final flags
-    assert state.step == ("mbba", 0, 1)
+    assert state.step == agreement_step(0, 1)
     sends = engine.on_echo_deadline(state)
-    assert [p.step_key for p in sends] == [("mbba", 0, 2)]
+    assert [p.step for p in sends] == [agreement_step(0, 2)]
     assert sends[0].row.tolist() == engine.vote_row([0, 0], [1, 1]).tolist() == [2, 2]
 
 
@@ -295,7 +300,7 @@ def test_vote_rows_decode_as_bits_and_flags():
     row = engine.vote_row([1, 1], [1, 0])
     counts = np.zeros((2, engine.VOTE_VALUES), dtype=np.int32)
     counts[np.arange(2), row] = 1
-    deadline(state, ("mbba", 0, 0), counts)
+    deadline(state, agreement_step(0, 0), counts)
     assert state.bits.tolist() == [1, 1]
     assert state.decided.tolist() == [True, False]
     assert state.decision_log == [(0, 0, 0, 1)]
@@ -315,35 +320,45 @@ def test_iteration_cap_aborts_with_liveness_error():
 
 def test_next_step_walks_every_deadline_once():
     # From step 1 to the iteration cap: one deadline per step length, and
-    # every step has its own label and its own sortition seed.
-    params = make_params(m=1)
-    keys = [("mgc", 1)]
-    while keys[-1][0] == "mgc" or keys[-1][1] < mbba.ITERATION_CAP:
-        keys.append(engine.next_step(keys[-1]))
-    keys.pop()  # the first key past the cap
-    assert keys[:5] == [("mgc", 1), ("mgc", 2), ("mgc", 3), ("mbba", 0, 0), ("mbba", 0, 1)]
-    assert keys[-1] == ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
-    indices = [engine.step_index(key) for key in keys]
-    assert indices == list(range(1, len(keys) + 1))
-    assert len({engine.step_label(key) for key in keys + [engine.FINAL_STEP]}) == len(keys) + 1
-    seeds = {params.step_seed(key).encode() for key in keys + [engine.FINAL_STEP]}
-    assert len(seeds) == len(keys) + 1
+    # every step has its own label and its own sortition seed.  One node
+    # passes the graded deadlines, then advances through the agreement
+    # phases until the cap leaves it no next deadline.
+    params = make_params(m=1, n=1, committee=1, tag=b"walk")
+    state = engine.cob_start(params, 0, [b"x"])
+    steps, payload = [], state.observation
+    while state.step <= engine.GRADED:
+        steps.append(state.step)
+        payload = deadline(state, state.step, counts_for(params, payload))[0].row
+    while state.step is not None:
+        steps.append(state.step)
+        engine._advance(state)
+    assert steps[:5] == [1, 2, 3, agreement_step(0, 0), agreement_step(0, 1)]
+    assert steps[-1] == agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN) == engine.END - 1
+    assert steps == list(range(1, engine.END))
+    assert [engine.agreement(step) for step in steps[3:6]] == [(0, 0), (0, 1), (0, 2)]
+    assert engine.agreement(steps[-1]) == (mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
+    labels = [engine.step_label(step) for step in steps + [engine.FINAL_STEP]]
+    assert labels[:4] == ["mgc-1", "mgc-2", "mgc-3", "mbba-0-0"] and labels[-1] == "final"
+    assert len(set(labels)) == len(steps) + 1
+    seeds = {params.step_seed(step).encode() for step in steps + [engine.FINAL_STEP]}
+    assert len(seeds) == len(steps) + 1
 
 
 @pytest.mark.parametrize("phase", [0, 1, mbba.PHASE_COIN])
 def test_advance_moves_one_phase(phase):
     state = graded_node()
-    state.step = ("mbba", 3, phase)
+    state.step = agreement_step(3, phase)
     assert engine._advance(state)
-    assert state.step == (("mbba", 4, 0) if phase == mbba.PHASE_COIN else ("mbba", 3, phase + 1))
+    assert state.step == (agreement_step(4, 0) if phase == mbba.PHASE_COIN
+                          else agreement_step(3, phase + 1))
 
 
 def test_advance_stops_at_the_iteration_cap():
     state = graded_node()
     last = mbba.ITERATION_CAP - 1
-    state.step = ("mbba", last, mbba.PHASE_COIN - 1)
+    state.step = agreement_step(last, mbba.PHASE_COIN - 1)
     assert engine._advance(state)
-    assert state.step == ("mbba", last, mbba.PHASE_COIN)
+    assert state.step == agreement_step(last, mbba.PHASE_COIN)
     assert not engine._advance(state)
     assert state.step is None
 
@@ -351,26 +366,26 @@ def test_advance_stops_at_the_iteration_cap():
 def test_next_deadline_and_echo_budget():
     state = graded_node()
     sends = engine.adopt_decided_bits(state, bytes([0, 0]))
-    assert [p.step_key for p in sends] == [engine.FINAL_STEP, ("mbba", 0, 1)]
-    assert state.halted and state.step == ("mbba", 0, 1)
+    assert [p.step for p in sends] == [engine.FINAL_STEP, agreement_step(0, 1)]
+    assert state.halted and state.step == agreement_step(0, 1)
     # the last echo of the budget, then the node goes quiet
-    state.step = ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1)
-    assert [p.step_key for p in engine.on_echo_deadline(state)] == [
-        ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)]
+    state.step = agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1)
+    assert [p.step for p in engine.on_echo_deadline(state)] == [
+        agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)]
     assert state.step is not None
     assert engine.on_echo_deadline(state) is None
     assert state.halted and state.step is None
     # halting in the last coin phase leaves no echo at all
     state = graded_node()
-    state.step = ("mbba", mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
-    assert [p.step_key for p in engine.adopt_decided_bits(state, bytes([0, 0]))] == [
+    state.step = agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)
+    assert [p.step for p in engine.adopt_decided_bits(state, bytes([0, 0]))] == [
         engine.FINAL_STEP]
     assert state.step is None
 
 
 def test_mbba_wire_format_is_bits_then_flags():
     params = make_params(m=7)
-    proof = params.draw(("mbba", 5, 2), 3)
+    proof = params.draw(agreement_step(5, 2), 3)
     rng = np.random.default_rng(0)
     for _ in range(20):
         bits = rng.integers(0, 2, params.m)
@@ -391,7 +406,7 @@ def test_straggler_adopting_an_output_casts_one_final():
     assert engine.adopt_output(state, bits_bytes, bytes(32), cert) is None
     assert state.output is None and not state.halted
     sends = engine.adopt_output(state, bits_bytes, digest, cert)
-    assert [p.step_key for p in sends] == [engine.FINAL_STEP]
+    assert [p.step for p in sends] == [engine.FINAL_STEP]
     assert sends[0].theta_digest == digest
     assert bytes(int(b) for b in sends[0].row) == bits_bytes
     assert state.halted and state.step is None
@@ -436,7 +451,7 @@ def test_ablation_leaves_output_unchanged():
 def test_mgc_wire_format_joins_the_interned_encodings():
     params = make_params(m=4)
     row = np.array(params.interner.intern_vector([b"a", None, b"a" * 64, b"zz"]), dtype=np.int32)
-    proof = params.draw(("mgc", 2), 5)
+    proof = params.draw(2, 5)
     encoded = engine.encode_mgc_message(params, 2, 5, row, proof)
     assert encoded == (
         params.digest + (5).to_bytes(4, "big") + bytes([2]) + params.m.to_bytes(2, "big")

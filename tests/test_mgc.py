@@ -172,3 +172,20 @@ def test_one_call_over_nodes_equals_single_rows():
         assert np.array_equal(theta[i], single[0]) and np.array_equal(grades[i], single[1])
     assert (echo > 0).any() and (echo == 0).any()
     assert set(np.unique(grades).tolist()) == {0, 1, 2}
+
+
+def test_finalize_with_ranks_of_newer_values_pads_the_counts():
+    # A step's tally is made once per set of rows, so the interner may rank
+    # values interned after it: their columns count zero.  Ties and empty
+    # rows included, the outcome is that of the counts padded to the ranks.
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 7, (40, 6, 4)).astype(np.int32)
+    counts[:5] = 0
+    for width in (4, 5, 9):
+        ranks = rng.permutation(width)
+        padded = np.zeros(counts.shape[:-1] + (width,), dtype=np.int32)
+        padded[..., :4] = counts
+        theta, grades = mgc.finalize(counts, ranks, 5, 2)
+        want_theta, want_grades = mgc.finalize(padded, ranks, 5, 2)
+        assert np.array_equal(theta, want_theta) and np.array_equal(grades, want_grades)
+        assert set(np.unique(grades).tolist()) == {0, 1, 2}
