@@ -609,7 +609,11 @@ def run_chain(
             if not honest:
                 raise ChainError(f"{where} certified, but no honest node holds its output")
             out = result.outputs[honest[0]]
-            idents = {result.outputs[v].encode_identity() for v in honest}
+            # Honest outputs share their instance's memoised values list, so
+            # each distinct (values list, bits, instance) is encoded once.
+            distinct = {(id(o.values), o.bits, o.instance): o
+                        for o in (result.outputs[v] for v in honest)}
+            idents = {o.encode_identity() for o in distinct.values()}
             if len(idents) != 1:
                 raise ChainError(f"fork detected in {where}")
 

@@ -50,12 +50,20 @@ def agreement(step: int) -> tuple[int, int]:
     return divmod(step - AGREEMENT, 3)
 
 
-def step_label(step: int) -> str:
+def _label(step: int) -> str:
     if step <= GRADED:
         return f"mgc-{step}"
     if step == FINAL_STEP:
         return "final"
     return "mbba-%d-%d" % agreement(step)
+
+
+_STEP_LABELS = tuple(_label(step) for step in range(END + 1))
+
+
+def step_label(step: int) -> str:
+    """The trace label of a step: ``mgc-s``, ``mbba-i-p`` or ``final``."""
+    return _STEP_LABELS[step]
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def encode_final_body(instance_digest, sender, bits, theta_digest, proof) -> byt
     return (
         instance_digest
         + sender.to_bytes(4, "big")
-        + bytes(int(b) for b in bits)
+        + np.asarray(bits, dtype=np.uint8).tobytes()
         + theta_digest
         + proof.encode()
     )
@@ -416,8 +424,11 @@ def on_step_deadline(state: CobNodeState, step: int, row: tuple) -> list[SendPla
 
     iteration, phase = agreement(step)
     state.bits, state.decided, newly = row
-    for comp in np.nonzero(newly)[0]:
-        state.decision_log.append((iteration, phase, int(comp), int(state.bits[comp])))
+    comps = np.flatnonzero(newly)
+    if comps.size:
+        state.decision_log.extend(
+            [(iteration, phase, c, b)
+             for c, b in zip(comps.tolist(), state.bits[comps].tolist())])
     if state.decided.all():
         return _halt_and_final(state)
     if not _advance(state):

@@ -76,6 +76,15 @@ of each sender and that vote's arrival times.  A straggler's catch-up
 check and the closing certificate assembly read one column of the
 arrivals and collect references to the votes, and a node that already
 adopted an output builds no second certificate when the instance closes.
+
+The trace keeps one record per event.  A node's decisions at one deadline
+are one ``decide`` record whose note is the tuple of its (component, bit)
+pairs, in ``decision_log`` order.  The digest and the JSONL file expand it
+to one line per pair, ``component c -> b``, which is the line a record per
+decided component would give, so neither changed when decisions merged.
+The trace hashes its records in batches of ``TRACE_BATCH`` while the run
+appends them, and each instance run ends by hashing the rest, so
+``digest`` finds nothing left to hash after a run.
 """
 
 from __future__ import annotations
@@ -280,41 +289,63 @@ def _expand_dense(frontier, dense_adj) -> np.ndarray:
 # Trace
 
 
+_JSONL_KEYS = ("t_abs", "t_local", "node", "kind", "instance", "step", "size_bytes", "digest", "note")
+TRACE_BATCH = 256  # records hashed per digest update
+_LINE = "%.17g|%.17g|%s|%s|%s|%s|%s|%s|%s"
+_DECIDE_NOTE = "component %d -> %d"  # one decided (component, bit) pair
+
+
 class Trace:
-    """Append-only event log; its digest is the run's determinism witness."""
+    """Append-only event log; its digest is the run's determinism witness.
+
+    A record is a 9-tuple (t_abs, t_local, node, kind, instance, step,
+    size_bytes, digest8, note).  A ``decide`` record holds all of one node's
+    decisions at one deadline: its note is the tuple of (component, bit)
+    pairs in ``decision_log`` order.  The digest and ``write_jsonl`` see it
+    as one line per pair, with the note ``component c -> b``.  Every other
+    record is one line, each field as text and the times as ``%.17g``.  The
+    digest is blake2b over those lines, each ending in a newline, fed one
+    batch of ``TRACE_BATCH`` records at a time as the run appends them; the
+    instance runner flushes the rest when its instance ends.
+    """
 
     def __init__(self):
         self.records: list[tuple] = []
         self._h = hashlib.blake2b(digest_size=32)
+        self._hashed = 0  # records already fed to the hash
 
     def add(self, t_abs, t_local, node, kind, instance, step, size_bytes, digest8, note=""):
-        rec = (float(t_abs), float(t_local), node, kind, instance, step, size_bytes, digest8, note)
-        self.records.append(rec)
-        line = "|".join(
-            (
-                f"{rec[0]:.17g}",
-                f"{rec[1]:.17g}",
-                str(node),
-                kind,
-                instance,
-                step,
-                str(size_bytes),
-                digest8,
-                note,
-            )
-        )
-        self._h.update(line.encode())
-        self._h.update(b"\n")
+        records = self.records
+        records.append((float(t_abs), float(t_local), node, kind, instance, step, size_bytes,
+                        digest8, note))
+        if len(records) - self._hashed >= TRACE_BATCH:
+            self.flush()
+
+    def flush(self):
+        """Hash every record not hashed yet."""
+        lines = []
+        for rec in self.records[self._hashed:]:
+            if rec[3] == "decide":
+                head = _LINE % (rec[:8] + ("",))
+                lines.extend([head + _DECIDE_NOTE % pair for pair in rec[8]])
+            else:
+                lines.append(_LINE % rec)
+        lines.append("")  # so the last line ends in a newline too
+        self._h.update("\n".join(lines).encode())
+        self._hashed = len(self.records)
 
     def digest(self) -> str:
+        self.flush()
         return self._h.hexdigest()
 
     def write_jsonl(self, path):
-        keys = ("t_abs", "t_local", "node", "kind", "instance", "step", "size_bytes", "digest", "note")
         with open(path, "w") as fh:
             for rec in self.records:
-                fh.write(json.dumps(dict(zip(keys, rec)), sort_keys=True))
-                fh.write("\n")
+                lines = ([rec[:8] + (_DECIDE_NOTE % pair,) for pair in rec[8]]
+                         if rec[3] == "decide" else [rec])
+                for line in lines:
+                    fh.write(json.dumps(dict(zip(_JSONL_KEYS, line)), sort_keys=True))
+                    fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +880,7 @@ class InstanceRunner:
         # origin's FIFO floor.
         delivery = net.send(node, t_abs, size, digest, plan.dest_mask, plan.delay)
         if step == engine.FINAL_STEP:
-            row = (bytes(int(b) for b in row), plan.theta_digest, sig)
+            row = (np.asarray(row, dtype=np.uint8).tobytes(), plan.theta_digest, sig)
         pool = self.pool(step)
         if pool.add(node, row, delivery, digest, proof.pseudo_vrf_output):
             self._record(node, t_abs, "send", engine.step_label(step), size, digest[:8].hex())
@@ -959,6 +990,7 @@ class InstanceRunner:
                 heapq.heappush(heap, (float(self.pool(state.step).deadlines[v]), v, state.step))
         self._release_before(math.inf)
         result = self._finish(liveness)
+        net.trace.flush()
         result.cut_at = cut_at
         net.deliver()  # the rest of the queue: the sends still move FIFO floors
         if result.certified:
@@ -981,15 +1013,18 @@ class InstanceRunner:
         label = engine.step_label(step)
         if present is not None and not present[v]:
             self._record(v, t, "note", label, note="empty coin phase")
-        decisions_before = len(state.decision_log)
+        log = state.decision_log
+        decisions_before = len(log)
         try:
             plans = engine.on_step_deadline(state, step, row)
         except mbba.LivenessError as exc:
             liveness.append(v)
             self._record(v, t, "liveness-failure", label, note=str(exc))
             return []
-        for it, ph, comp, bit in state.decision_log[decisions_before:]:
-            self._record(v, t, "decide", label, note=f"component {comp} -> {bit}")
+        if len(log) > decisions_before:
+            # One record per deadline: its (component, bit) pairs in log order.
+            self._record(v, t, "decide", label,
+                         note=tuple([entry[2:] for entry in log[decisions_before:]]))
         return plans
 
     # -- certificate assembly -----------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from collections import Counter, deque
 
@@ -7,7 +9,7 @@ import pytest
 from cobsim import _kernels, crypto, engine, mbba, netsim, scenario
 
 from conftest import make_network
-from test_golden import SCALE_N100, corpus
+from test_golden import GOLDEN, SCALE_N100, corpus
 
 
 def spy_pool_rows(monkeypatch) -> dict:
@@ -736,3 +738,150 @@ def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
             assert pool.released and pool._tally is None and pool._last is None
             assert pool.batch is None and pool.deliveries.size == 0
             assert pool.senders is pool.vrf64 is pool.payloads is None
+
+
+# ---------------------------------------------------------------------------
+# Trace format lock: the digest and the JSONL file see one line per decided
+# component, formatted exactly as a record was formatted when every decided
+# component was its own record.
+
+
+def reference_notes(rec) -> list[str]:
+    """A record's note per trace line: a decide record has one line per
+    (component, bit) pair of its note."""
+    return [f"component {c} -> {b}" for c, b in rec[8]] if rec[3] == "decide" else [rec[8]]
+
+
+def reference_digest(records) -> str:
+    """blake2b over every line, its fields formatted one by one and joined."""
+    h = hashlib.blake2b(digest_size=32)
+    for rec in records:
+        for note in reference_notes(rec):
+            h.update("|".join((f"{rec[0]:.17g}", f"{rec[1]:.17g}", str(rec[2]), rec[3], rec[4],
+                               rec[5], str(rec[6]), rec[7], note)).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def reference_jsonl(records) -> str:
+    keys = ("t_abs", "t_local", "node", "kind", "instance", "step", "size_bytes", "digest", "note")
+    return "".join(json.dumps(dict(zip(keys, rec[:8] + (note,))), sort_keys=True) + "\n"
+                   for rec in records for note in reference_notes(rec))
+
+
+TRACE_CASE = "configs/chain_small.json"  # block sends, obs-rejects, a 48-component slot
+
+
+def run_case(name):
+    cfg = corpus()[name]
+    return (scenario.run_chain_scenario if cfg.mode == "chain" else scenario.run_simulate)(cfg)
+
+
+@pytest.mark.parametrize("batch", [netsim.TRACE_BATCH, 7])
+def test_trace_format_digest_matches_the_reference(monkeypatch, batch):
+    # digest() mid-run, then again each time at least one batch of records
+    # has been hashed in between, and once after the run.  Each instance
+    # run ends with every record hashed.
+    monkeypatch.setattr(netsim, "TRACE_BATCH", batch)
+    checked = []
+    on_deadline = netsim.InstanceRunner._on_deadline
+
+    def spy_deadline(runner, v, t, step, liveness):
+        trace = runner.net.trace
+        if not checked or len(trace.records) > checked[-1] + batch:
+            checked.append(len(trace.records))
+            assert trace.digest() == reference_digest(trace.records), checked
+        return on_deadline(runner, v, t, step, liveness)
+
+    run = netsim.InstanceRunner.run
+    runs = []
+
+    def spy_run(runner, horizon=np.inf):
+        result = run(runner, horizon)
+        trace = runner.net.trace
+        assert trace._hashed == len(trace.records)  # hashed inside the run
+        runs.append(len(trace.records))
+        return result
+
+    monkeypatch.setattr(netsim.InstanceRunner, "_on_deadline", spy_deadline)
+    monkeypatch.setattr(netsim.InstanceRunner, "run", spy_run)
+    trace = run_case(TRACE_CASE).trace
+    assert len(checked) >= 2 and len(runs) >= 2
+    assert max(len(r[8]) for r in trace.records if r[3] == "decide") >= 2
+    assert trace.digest() == reference_digest(trace.records)
+    assert trace.digest() == json.loads(GOLDEN.read_text())[TRACE_CASE]
+
+
+def test_trace_format_jsonl_matches_the_reference(tmp_path):
+    trace = run_case(TRACE_CASE).trace
+    assert max(len(r[8]) for r in trace.records if r[3] == "decide") >= 2
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path)
+    assert path.read_text() == reference_jsonl(trace.records)
+
+
+# ---------------------------------------------------------------------------
+# Decide records: one per (node, deadline), its pairs in decision_log order.
+
+
+def spy_decisions(monkeypatch, fail_first=False) -> tuple[list, list]:
+    """(calls, failed): (instance label, node, step label, new decision_log
+    entries) of every ``on_step_deadline`` call.  With ``fail_first``, the
+    first slot-instance call that decides anything raises ``LivenessError``
+    after deciding, as the iteration cap does, and is also in ``failed``."""
+    calls, failed = [], []
+    on_step_deadline = engine.on_step_deadline
+
+    def spy(state, step, row):
+        before = len(state.decision_log)
+        plans = on_step_deadline(state, step, row)
+        inst = state.params.instance
+        call = (f"{inst.purpose}/{inst.epoch}/{inst.slot}", state.node,
+                engine.step_label(step), state.decision_log[before:])
+        calls.append(call)
+        if fail_first and call[3] and not failed and inst.purpose == "slot_timing":
+            failed.append(call)
+            raise mbba.LivenessError("injected")
+        return plans
+
+    monkeypatch.setattr(engine, "on_step_deadline", spy)
+    return calls, failed
+
+
+def test_decide_record_one_per_deadline_in_log_order(monkeypatch):
+    calls, _ = spy_decisions(monkeypatch)
+    result = run_case("two-instances")
+    want = [((label, v, step), tuple((c, b) for _, _, c, b in new))
+            for label, v, step, new in calls if new]
+    got = [((r[4], r[2], r[5]), r[8]) for r in result.trace.records if r[3] == "decide"]
+    assert got == want
+    assert any(len(note) >= 2 for _, note in got)
+    # A node's decide notes, in trace order, are its decision log.
+    for res in result.results:
+        label = f"slot_timing/0/{res.params.instance.slot}"
+        for v, state in res.states.items():
+            pairs = [p for r in result.trace.records
+                     if r[3] == "decide" and r[4] == label and r[2] == v for p in r[8]]
+            assert pairs == [entry[2:] for entry in state.decision_log]
+
+
+def test_decide_record_decision_log_holds_python_ints():
+    result = run_case("two-instances")
+    entries = [e for res in result.results for s in res.states.values() for e in s.decision_log]
+    assert entries
+    assert all(type(e) is tuple and len(e) == 4 and all(type(x) is int for x in e)
+               for e in entries)
+    notes = [r[8] for r in result.trace.records if r[3] == "decide"]
+    assert all(type(p) is tuple and all(type(x) is int for x in p) for note in notes for p in note)
+
+
+def test_decide_record_none_at_a_liveness_failure(monkeypatch):
+    _, failed = spy_decisions(monkeypatch, fail_first=True)
+    result = run_case("two-instances")
+    [(label, v, step, new)] = failed
+    assert new  # the failing deadline did decide components
+    at_deadline = [r[3] for r in result.trace.records
+                   if r[4] == label and r[2] == v and r[5] == step
+                   and r[3] in ("decide", "liveness-failure")]
+    assert at_deadline == ["liveness-failure"]
+    assert v in [u for res in result.results for u in res.liveness_failures]
