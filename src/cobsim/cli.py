@@ -15,7 +15,7 @@ import sys
 
 from . import bench as bench_mod
 from . import chain as chain_mod
-from . import crypto, scenario
+from . import scenario
 from .crypto import KeyRegistry
 
 EXIT_OK = 0
@@ -24,7 +24,10 @@ EXIT_CONFIG = 2
 EXIT_LIVENESS = 3
 
 
-def cmd_simulate(args) -> int:
+def _load_config(args, mode: str) -> scenario.ScenarioConfig | None:
+    """The ``--config`` file with the ``--seed`` and ``--unsafe-byzantine``
+    overrides, or None after reporting why it is invalid, including a mode
+    other than the subcommand's."""
     try:
         overrides = {}
         if args.seed is not None:
@@ -32,10 +35,17 @@ def cmd_simulate(args) -> int:
         if args.unsafe_byzantine:
             overrides["unsafe_byzantine"] = True
         cfg = scenario.ScenarioConfig.load(args.config, **overrides)
-        if cfg.mode != "simulate":
-            raise scenario.ConfigError("mode", "simulate subcommand needs a simulate-mode config")
+        if cfg.mode != mode:
+            raise scenario.ConfigError("mode", f"the {mode} subcommand needs a {mode}-mode config")
     except (scenario.ConfigError, OSError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return None
+    return cfg
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args, "simulate")
+    if cfg is None:
         return EXIT_CONFIG
     if args.runs < 1:
         print(f"invalid --runs {args.runs}: need at least one run", file=sys.stderr)
@@ -71,17 +81,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    try:
-        overrides = {"mode": "chain"}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.unsafe_byzantine:
-            overrides["unsafe_byzantine"] = True
-        cfg = scenario.ScenarioConfig.load(args.config, **overrides)
-    except (scenario.ConfigError, OSError, TypeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    cfg = _load_config(args, "chain")
+    if cfg is None:
         return EXIT_CONFIG
-
     try:
         result = scenario.run_chain_scenario(cfg, cfg.seed)
     except chain_mod.ChainError as exc:
@@ -92,7 +94,7 @@ def cmd_chain(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(dump, fh, indent=1, sort_keys=True)
     if args.registry_out:
-        reg = {"n": cfg.n, "master": crypto.digest(b"registry", cfg.seed.to_bytes(8, "big")).hex()}
+        reg = {"n": cfg.n, "master": scenario.registry_master(cfg.seed).hex()}
         with open(args.registry_out, "w") as fh:
             json.dump(reg, fh)
     print(f"chain: {len(dump['blocks'])} certified blocks over {cfg.epochs} epoch(s)")

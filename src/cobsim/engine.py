@@ -18,6 +18,13 @@ The rules of a step run for many nodes at once (``step_outcomes``, one
 call per rule over their stacked tallies); each node then applies its own
 row at its own deadline (``on_step_deadline``).
 
+Each node event has one entry: ``initial_send`` at the start,
+``on_step_deadline`` at every later deadline (a halted node's too),
+``adopt_output`` or ``adopt_decided_bits`` when the final pool lets the
+node catch up, and ``adopt_certificate`` when the instance closes.
+``_advance`` is the one rule that moves a node to its next step, and
+``_halt_and_final`` the one that halts it.
+
 The certificate for an instance is a quorum of matching signed final
 votes.  Finals are cast by the whole population (the final step runs with
 expected committee = N, so every node carries a selection proof), which
@@ -402,18 +409,23 @@ def step_outcomes(params: CobParams, step: int, states: list[CobNodeState],
     )
 
 
-def on_step_deadline(state: CobNodeState, step: int, row: tuple) -> list[SendPlan]:
+def on_step_deadline(state: CobNodeState, step: int, row: tuple | None) -> list[SendPlan]:
     """Advance the node past one step deadline.  Returns the next sends.
 
-    ``row`` is the node's row of ``step_outcomes`` for this step.
+    ``row`` is the node's row of ``step_outcomes`` for this step, or None
+    once the node halted.  A halted node tallies nothing: it echoes its
+    decided bits with final flags at each deadline so late nodes can still
+    assemble quorums, until its certificate ends its walk.  The echo budget
+    is the iteration cap, after which it sends nothing (the instance-level
+    liveness verdict is separate).
     """
-    if state.step is None or state.halted:
-        return []
     if step != state.step:
         raise ValueError(f"deadline {step} does not match the node's step {state.step}")
+    if state.halted:
+        return _mbba_send(state) if _advance(state) else []
 
     if step <= GRADED:
-        state.step = step + 1
+        _advance(state)
         if step < GRADED:
             return _send(state, row[0])
         # step 3: grade and move to the agreement loop
@@ -440,15 +452,17 @@ def on_step_deadline(state: CobNodeState, step: int, row: tuple) -> list[SendPla
 
 
 def _advance(state: CobNodeState) -> bool:
-    """Move to the next agreement step.  At the iteration cap the node has
-    no next deadline (``step`` None) and this returns False."""
-    step = state.step + 1
-    state.step = step if step < END else None
+    """Move to the next step, the one forward move of ``state.step``.  At
+    the iteration cap, or with no next step, ``step`` is None: returns False."""
+    if state.step is not None:
+        step = state.step + 1
+        state.step = step if step < END else None
     return state.step is not None
 
 
 def _halt_and_final(state: CobNodeState) -> list[SendPlan]:
-    """Halt: sign the final vote, and keep the echo stream one phase ahead."""
+    """Halt, the one way a node does: sign the final vote, and keep the
+    echo stream one phase ahead."""
     state.halted = True
     sends = _final_send(state)
     if _advance(state):
@@ -456,36 +470,19 @@ def _halt_and_final(state: CobNodeState) -> list[SendPlan]:
     return sends
 
 
-def _set_decided(state: CobNodeState, bits_bytes: bytes):
-    """Take every component as decided, with the bits of a final-vote quorum."""
-    if state.bits is None:
-        raise RuntimeError("cannot adopt decisions before the graded phase completed")
-    state.bits = np.array(list(bits_bytes), dtype=np.int8)
-    state.decided = np.ones(state.params.m, dtype=bool)
-
-
 def adopt_decided_bits(state: CobNodeState, bits_bytes: bytes) -> list[SendPlan]:
-    """Adopt decisions carried by a plurality of matching final votes.
+    """Adopt the decisions of a plurality of matching final votes, and halt.
 
     More than floor(n/3) matching finals contain at least one honest
     signer, whose per-component decisions were reached soundly; adopting
     the whole bit vector is then equivalent to a flag-quorum catch-up, but
     over the accumulating final pool instead of one phase's committee.
     """
-    _set_decided(state, bits_bytes)
+    if state.bits is None:
+        raise RuntimeError("cannot adopt decisions before the graded phase completed")
+    state.bits = np.array(list(bits_bytes), dtype=np.int8)
+    state.decided = np.ones(state.params.m, dtype=bool)
     return _halt_and_final(state)
-
-
-def on_echo_deadline(state: CobNodeState) -> list[SendPlan] | None:
-    """Post-halt participation: decided bits re-broadcast with final flags.
-
-    Halted nodes keep echoing so late nodes can still assemble quorums; the
-    echo budget shares the global iteration cap, after which None signals
-    the node to go quiet (the instance-level liveness verdict is separate).
-    """
-    if not state.halted or state.step is None:
-        return None
-    return _mbba_send(state) if _advance(state) else None
 
 
 def adopt_output(
@@ -495,15 +492,14 @@ def adopt_output(
 
     Returns None when the node's theta does not reproduce the certified
     digest.  Otherwise the node holds its output, and a node that had not
-    cast its own final yet halts and backs the certificate with one.
+    cast its own final yet adopts the bits and halts: it backs the
+    certificate with one final, and the certificate ended its echoes.
     """
     if not adopt_certificate(state, tuple(bits_bytes), theta_digest, cert):
         return None
     if state.halted:
         return []
-    _set_decided(state, bits_bytes)
-    state.halted = True
-    return _final_send(state)
+    return adopt_decided_bits(state, bits_bytes)
 
 
 def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Certificate) -> bool:

@@ -35,13 +35,15 @@ The event loop is one heap of per-node deadline events ordered by (time,
 node, step); the heap is the order of record, and every trace record is
 written at its own node's event.  Every node starts at one local clock
 reading (0, or the slot duration in chain mode).  The engine owns each
-node's lifecycle: at a deadline the runner hands the node its row of the
-step's rule outcome (or a catch-up from the final pool), and after every
-event it schedules the node's next step, ``CobNodeState.step``, with one
-push, or none once that is None: the node is done or its echo budget is
-spent.  The runner alone rolls the clocks over: after writing its closing
-records, a certified run re-zeros every node's clock at its certificate
-assembly time.
+node's lifecycle, with one entry per node event: at every deadline after
+the start the runner either lets the node catch up from the final pool
+(``adopt_output``, ``adopt_decided_bits``) or passes it the step with its
+row of the step's rule outcome, or no row once it halted
+(``on_step_deadline``).  After every event it schedules the node's next
+step, ``CobNodeState.step``, with one push, or none once that is None:
+the node is done or its echo budget is spent.  The runner alone rolls the
+clocks over: after writing its closing records, a certified run re-zeros
+every node's clock at its certificate assembly time.
 
 Delivery, tallies and rules run per batch.  A send joins the network's
 queue, and its pool keeps the payload at once; the delivery rows follow
@@ -999,16 +1001,14 @@ class InstanceRunner:
 
     def _on_deadline(self, v: int, t: float, step: int, liveness: list[int]) -> list[SendPlan]:
         """Node ``v`` at its deadline ``step``: catch up from the final pool,
-        echo once halted, or pass the step.  Returns the node's sends."""
+        or pass the step, with no row once halted.  Returns the node's sends."""
         state = self.states[v]
         if step > engine.GRADED:
             plans = self._maybe_adopt_from_finals(v, t)
             if plans is not None:
                 return plans
         if state.halted:
-            # Decided bits keep being echoed with final flags until the
-            # node holds a certificate, so stragglers can catch up.
-            return engine.on_echo_deadline(state) or []
+            return engine.on_step_deadline(state, step, None)
         row, present = self.step_outcome(step, v)
         label = engine.step_label(step)
         if present is not None and not present[v]:

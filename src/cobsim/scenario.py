@@ -29,8 +29,7 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
 
 
-ADVERSARIES = ("honest", "crash", "equivocate", "withhold_then_release",
-               "bit_flip_votes", "late_block", "mixed")
+ADVERSARIES = (*netsim.STRATEGIES, "mixed")
 TOPOLOGIES = ("complete", "ring", "watts_strogatz", "geometric")
 TOPOLOGY_PARAMS = {"complete": (), "ring": (), "watts_strogatz": ("k", "p"),
                    "geometric": ("radius",)}
@@ -141,17 +140,25 @@ class ScenarioConfig:
         return self
 
     def _validate_deadlines(self):
-        """Reject a diffusion bound that makes a step deadline infinite, naming
-        ``lam_base``, or ``lam_per_byte`` when ``lam_base`` alone is safe.  The
-        latest deadline is that of the last step of the largest instance (m
-        components in simulate mode, Nc in chain mode): its start offset plus
-        the step's deadline index times the step length 2*lambda(size bound)."""
+        """Reject a schedule whose step deadlines are infinite or too far out
+        to keep apart.  The latest deadline of an instance is its start plus
+        its last step's deadline index times the step length
+        2*lambda(size bound), largest at m components in simulate mode and
+        Nc in chain mode.  An infinite one names ``lam_base``, or
+        ``lam_per_byte`` when ``lam_base`` alone is safe.
+
+        Then the latest absolute deadline of the run: the skew, the
+        bootstrap and every instance up to its last step (chain mode: every
+        slot, each a slot duration plus its steps).  Floats that far out
+        must still be spaced finer than ``d_max``, or deadlines a step apart
+        round together; the error names the field behind the largest term."""
         if self.mode == "simulate":
-            m, start = self.m, self.initial_skew
+            m, start, runs = self.m, self.initial_skew, self.instances
         else:
             beta = self.num_slots + self.extra_shard_params
             m = chain_mod.compute_nc(self.alpha, beta, self.num_shards, self.num_shards)
             start = self.initial_skew + self.slot_duration
+            runs = self.epochs * self.num_slots
         size = netsim.mgc_message_size_bound(m)
         last = engine.END - 1
         for name, per_byte in (("lam_base", 0.0), ("lam_per_byte", self.lam_per_byte)):
@@ -160,6 +167,18 @@ class ScenarioConfig:
                 raise ConfigError(name, f"too large: the last step deadline of a {m}-component "
                                   f"instance, {start:g} + {last} * 2*lambda({size} bytes), "
                                   f"is not finite")
+        # Step lengths are 2*lambda: a lam_base part and a lam_per_byte part.
+        setup_size = netsim.mgc_message_size_bound(1)
+        terms = {"initial_skew": self.initial_skew,
+                 "lam_base": last * 2.0 * self.lam_base * (1 + runs),
+                 "lam_per_byte": last * 2.0 * self.lam_per_byte * (setup_size + runs * size),
+                 "slot_duration": runs * self.slot_duration if self.mode == "chain" else 0.0}
+        latest = sum(terms.values())
+        if not math.ulp(latest) < self.d_max:
+            name = max(terms, key=terms.get)
+            raise ConfigError(name, f"too large: the latest step deadline, about {latest:.6g} s, "
+                              f"lies where floats are {math.ulp(latest):g} s apart, not less "
+                              f"than d_max = {self.d_max:g}, so step deadlines round together")
 
     def _validate_types(self):
         """Reject a field whose value does not match its annotation.  An int
@@ -297,9 +316,15 @@ def topology_seed(seed: int) -> int:
     return int(_substream(seed, b"topology").integers(0, 2**31 - 1))
 
 
+def registry_master(seed: int) -> bytes:
+    """The master secret of a run's key registry, as ``cobsim chain
+    --registry-out`` writes it for ``cobsim verify``."""
+    return crypto.digest(b"registry", seed.to_bytes(8, "big"))
+
+
 def build_network(config: ScenarioConfig, seed: int) -> netsim.Network:
     byz = byzantine_set(config, seed)
-    registry = KeyRegistry(config.n, crypto.digest(b"registry", seed.to_bytes(8, "big")))
+    registry = KeyRegistry(config.n, registry_master(seed))
     adj = netsim.build_topology(config.n, byz, config.topology, config.topology_params,
                                 topology_seed(seed))
     return netsim.Network(

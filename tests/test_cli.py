@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cobsim import cli, scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, data):
@@ -55,6 +58,19 @@ def test_simulate_exit_codes(tmp_path):
     # crashed the quorum is unreachable, which is a liveness failure, not a
     # config failure
     assert cli.main(["simulate", "--config", unsafe, "--unsafe-byzantine"]) == cli.EXIT_LIVENESS
+
+
+@pytest.mark.parametrize("command, config", [
+    ("chain", "simulate_small.json"),
+    ("simulate", "chain_small.json"),
+])
+def test_a_config_of_the_other_mode_is_a_config_error(capsys, command, config):
+    # Both subcommands load their config one way: a config written for the
+    # other subcommand is refused and names its mode, never run as this one.
+    path = str(CONFIGS / config)
+    assert cli.main([command, "--config", path, "--seed", "3"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: config field 'mode': ") and "Traceback" not in err
 
 
 def test_chain_verify_roundtrip(tmp_path):
@@ -296,11 +312,18 @@ WIRE_CHAIN = {"mode": "chain", "n": 4, "topology": "complete", "num_shards": 1, 
      "at most 4294967295"),
     ("simulate", {"mode": "simulate", "n": 10, "committee": 10, "m": 2, "horizon": -1},
      "horizon", "must be non-negative"),
+    ("chain", {"mode": "chain", "n": 16, "topology": "complete", "num_shards": 1,
+               "num_slots": 2, "slot_duration": 1e20}, "slot_duration",
+     "floats are 32768 s apart"),
+    ("chain", {"mode": "chain", "n": 16, "topology": "complete", "num_shards": 1,
+               "num_slots": 2, "slot_duration": 1e18}, "slot_duration",
+     "floats are 256 s apart"),
 ])
 def test_out_of_range_count_or_horizon_is_a_config_error(tmp_path, capsys, command, config,
                                                           field, detail):
     # Component counts travel in 2 bytes and a block's payload length in 4;
-    # a wider value, or a negative horizon, is refused before anything runs.
+    # a wider value, a negative horizon, or deadlines so late that floats
+    # there are d_max or more apart, is refused before anything runs.
     path = write_config(tmp_path, "wide.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err

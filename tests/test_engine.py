@@ -287,7 +287,7 @@ def test_single_node_lifecycle_contract():
     assert sends[0].row.tolist() == [0, 0]  # the final carries the bits alone
     # halted, the node echoes its decided bits with final flags
     assert state.step == agreement_step(0, 1)
-    sends = engine.on_echo_deadline(state)
+    sends = engine.on_step_deadline(state, state.step, None)
     assert [p.step for p in sends] == [agreement_step(0, 2)]
     assert sends[0].row.tolist() == engine.vote_row([0, 0], [1, 1]).tolist() == [2, 2]
 
@@ -370,10 +370,10 @@ def test_next_deadline_and_echo_budget():
     assert state.halted and state.step == agreement_step(0, 1)
     # the last echo of the budget, then the node goes quiet
     state.step = agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN - 1)
-    assert [p.step for p in engine.on_echo_deadline(state)] == [
+    assert [p.step for p in engine.on_step_deadline(state, state.step, None)] == [
         agreement_step(mbba.ITERATION_CAP - 1, mbba.PHASE_COIN)]
     assert state.step is not None
-    assert engine.on_echo_deadline(state) is None
+    assert engine.on_step_deadline(state, state.step, None) == []
     assert state.halted and state.step is None
     # halting in the last coin phase leaves no echo at all
     state = graded_node()
@@ -411,7 +411,7 @@ def test_straggler_adopting_an_output_casts_one_final():
     assert bytes(int(b) for b in sends[0].row) == bits_bytes
     assert state.halted and state.step is None
     assert state.output.certificate is cert
-    assert engine.on_echo_deadline(state) is None
+    assert engine.on_step_deadline(state, state.step, None) == []
     # holding its output and its own final, the node sends nothing more
     assert engine.adopt_output(state, bits_bytes, digest, cert) == []
 

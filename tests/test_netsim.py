@@ -343,22 +343,24 @@ def test_empty_step_committee_certifies(seed):
 
 def test_adoption_from_finals_takes_both_branches(monkeypatch):
     # 70 honest finals against a quorum of 67: nodes catch up from the final
-    # pool with a full certificate ("output") or with decided bits only
-    # ("halted").
+    # pool with a full certificate ("output": the node now holds its output)
+    # or with decided bits only ("halted": it halts and holds none yet).
+    # adopt_output halts through adopt_decided_bits, so the branches are
+    # told apart by the node's state change, not by which function ran.
     kinds = Counter()
-    adopt_output, adopt_decided_bits = engine.adopt_output, engine.adopt_decided_bits
+    adopt = netsim.InstanceRunner._maybe_adopt_from_finals
 
-    def spy_output(state, *args):
-        plans = adopt_output(state, *args)
-        kinds["output"] += plans is not None
+    def spy(self, node, t_abs):
+        state = self.states[node]
+        had_output, was_halted = state.output is not None, state.halted
+        plans = adopt(self, node, t_abs)
+        if state.output is not None and not had_output:
+            kinds["output"] += 1
+        elif state.halted and not was_halted:
+            kinds["halted"] += 1
         return plans
 
-    def spy_bits(state, bits_bytes):
-        kinds["halted"] += 1
-        return adopt_decided_bits(state, bits_bytes)
-
-    monkeypatch.setattr(engine, "adopt_output", spy_output)
-    monkeypatch.setattr(engine, "adopt_decided_bits", spy_bits)
+    monkeypatch.setattr(netsim.InstanceRunner, "_maybe_adopt_from_finals", spy)
     assert scenario.run_simulate(scenario.ScenarioConfig.from_dict(SCALE_N100)).ok
     assert kinds["output"] > 0 and kinds["halted"] > 0
 
