@@ -19,6 +19,7 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_digests.json"
 CONFIGS = HERE.parent / "configs"
 
+N25 = {"mode": "simulate", "n": 25, "committee": 25, "m": 4, "observation_plan": "mixed", "seed": 5}
 SCALE_N100 = {
     "mode": "simulate", "n": 100, "committee": 100, "m": 4, "observation_plan": "mixed",
     "adversary": "crash", "topology": "watts_strogatz", "byzantine_fraction": 0.3, "seed": 0,
@@ -26,6 +27,11 @@ SCALE_N100 = {
 
 
 def corpus() -> dict[str, scenario.ScenarioConfig]:
+    """Every golden case: the scenarios, then the failure paths."""
+    return {**scenarios(), **failure_paths()}
+
+
+def scenarios() -> dict[str, scenario.ScenarioConfig]:
     """Every simulate-mode adversary x topology at n=25, every shipped config,
     two instances, two larger runs that stress the final-vote census and the
     hop BFS, and two chain runs."""
@@ -35,9 +41,8 @@ def corpus() -> dict[str, scenario.ScenarioConfig]:
             continue  # chain mode only
         for topology in scenario.TOPOLOGIES:
             cases[f"{adversary}/{topology}"] = scenario.ScenarioConfig.from_dict({
-                "mode": "simulate", "n": 25, "committee": 25, "m": 4,
-                "observation_plan": "mixed", "adversary": adversary, "topology": topology,
-                "byzantine_fraction": 0.0 if adversary == "honest" else 0.2, "seed": 5,
+                **N25, "adversary": adversary, "topology": topology,
+                "byzantine_fraction": 0.0 if adversary == "honest" else 0.2,
             })
     for path in sorted(CONFIGS.glob("*.json")):
         cases[f"configs/{path.name}"] = scenario.ScenarioConfig.load(path)
@@ -69,6 +74,47 @@ def corpus() -> dict[str, scenario.ScenarioConfig]:
     cases["chain/committee20-mixed-n33"] = scenario.ScenarioConfig.from_dict({
         "mode": "chain", "n": 33, "num_shards": 3, "num_slots": 3, "chain_committee": 20,
         "adversary": "mixed", "byzantine_fraction": 0.2, "seed": 4,
+    })
+    return cases
+
+
+def failure_paths() -> dict[str, scenario.ScenarioConfig]:
+    """One run per failure path of the runner, each a config a user could
+    write.  Their n=25 topologies come from the generators that the
+    scenarios' adjacency digests lock."""
+    cases = {}
+    # A horizon cut after the agreement loop, with no certified output: a
+    # row still queued at its step pool's release lands in the closed matrix.
+    cases["horizon/n25-crash-cut12"] = scenario.ScenarioConfig.from_dict({
+        **N25, "adversary": "crash", "byzantine_fraction": 0.2, "horizon": 12,
+    })
+    # A horizon cut before any final: the instance closes with no final pool.
+    cases["horizon/n25-crash-cut2"] = scenario.ScenarioConfig.from_dict({
+        **N25, "adversary": "crash", "byzantine_fraction": 0.2, "horizon": 2,
+    })
+    # A byzantine node walled in by byzantine ring neighbours gets no
+    # certificate, so its next start is infinite, and it reaches the
+    # iteration cap of the bootstrap (a liveness failure).
+    cases["failure/ring-mixed-two-instances"] = scenario.ScenarioConfig.from_dict({
+        **N25, "adversary": "mixed", "byzantine_fraction": 0.3, "topology": "ring",
+        "instances": 2, "seed": 1,
+    })
+    # Two seats per step: some nodes count no vote in a coin phase.
+    cases["failure/split-committee2-empty-coin"] = scenario.ScenarioConfig.from_dict({
+        **N25, "observation_plan": "split", "committee": 2, "adversary": "crash",
+        "byzantine_fraction": 0.3, "seed": 2,
+    })
+    # Two seats per step against 20% equivocators: honest thetas diverge, so
+    # a certificate from the final pool does not match some nodes' theta
+    # (output-mismatch) ...
+    cases["failure/equivocate-committee2-mismatch"] = scenario.ScenarioConfig.from_dict({
+        **N25, "adversary": "equivocate", "byzantine_fraction": 0.2, "committee": 2,
+        "seed": 15,
+    })
+    # ... or the finals split and no content reaches the quorum.
+    cases["failure/equivocate-committee2-no-quorum"] = scenario.ScenarioConfig.from_dict({
+        **N25, "adversary": "equivocate", "byzantine_fraction": 0.2, "committee": 2,
+        "seed": 14,
     })
     return cases
 

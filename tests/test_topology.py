@@ -1,7 +1,7 @@
 """Adjacency digests: the lock on the topology generators.
 
 ``topology_digests.json`` holds the sha256 of the adjacency lists that
-``netsim.build_topology`` returns for every golden corpus case (with the
+``netsim.build_topology`` returns for every golden scenario case (with the
 byzantine set and topology seed ``scenario.build_network`` derives), for
 Watts-Strogatz and geometric graphs at n=1000 and n=3000, and for a grid of
 small sizes and rewiring probabilities.  The dense Watts-Strogatz cases
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from cobsim import netsim, scenario
 
-from test_golden import corpus, moved
+from test_golden import moved, scenarios
 
 HERE = Path(__file__).resolve().parent
 LOCK = HERE / "topology_digests.json"
@@ -41,7 +41,7 @@ def adjacency_digest(adj: list[list[int]]) -> str:
 
 def topology_cases():
     """(name, n, byz, family, params, seed) for every locked adjacency."""
-    for name, cfg in corpus().items():
+    for name, cfg in scenarios().items():
         yield (f"golden/{name}", cfg.n, scenario.byzantine_set(cfg, cfg.seed), cfg.topology,
                cfg.topology_params, scenario.topology_seed(cfg.seed))
     for family in ("watts_strogatz", "geometric"):
