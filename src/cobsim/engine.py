@@ -503,16 +503,15 @@ def adopt_output(
 
 
 def adopt_certificate(state: CobNodeState, bits, theta_digest: bytes, cert: Certificate) -> bool:
-    """Adopt a certified outcome; true iff this node can produce the output.
+    """Adopt a certified outcome on a node that holds no output yet; true
+    iff this node can produce the output.
 
     The node's own theta must reproduce the certified digest: values travel
-    in the consensus steps, finals only pin their digest.  A node holding
-    its output is done.
+    in the consensus steps, finals only pin their digest.  A node that
+    adopts its output is done.
     """
-    if state.output is not None:
-        return True
     if state.theta is None:
-        return False
+        return False  # never graded, so it holds no values
     out_vals, digest = state.params.output(state.theta, bits)
     if digest != theta_digest:
         return False

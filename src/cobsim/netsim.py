@@ -59,25 +59,27 @@ cached tally, and the next deadline evaluates the tally and the rules
 again for the nodes still at that step.  Nothing else changes a tally: a
 value interned after it would only add a column of zeros.
 
-Every pool stores each accepted row once.  A step pool is the one record
-of its step: the runner builds it with the step's (n,) deadline vector,
-start + step * step length (a step is its deadline index), the only place
-that formula is evaluated, and reads each node's next deadline from it.
-It appends payload and delivery rows to two growing matrices, which its
-tally reads sorted by sender at those deadlines, and caches its tally of
-the rows present next to the rule batch computed from it.  A step pool
-lives as long as its step: once the event loop pops a time past its
-release time, the largest finite deadline, the runner releases it, which drops its rows, tally, sortition outputs and rule
-batch and closes its delivery matrix.  Its digests stay, so a late
-duplicate is still rejected, and a late new send is still traced and
-queued, so it still moves its origin's FIFO floor; its row joins no
-matrix, and a row still queued at the release lands in the closed one,
-which keeps nothing.  The final pool keeps only its census, built as
-votes arrive: per content (bits, theta digest), the first ``FinalVote``
-of each sender and that vote's arrival times.  A straggler's catch-up
-check and the closing certificate assembly read one column of the
-arrivals and collect references to the votes, and a node that already
-adopted an output builds no second certificate when the instance closes.
+Every send is one pooled row.  A node sends one plan per step, and a
+strategy's variants of it differ in content, so no send repeats another;
+the golden corpus checks that no send digest repeats within a run.  A step
+pool is the one record of its step: the runner builds it with the step's
+(n,) deadline vector, start + step * step length (a step is its deadline
+index), the only place that formula is evaluated, and reads each node's
+next deadline from it.  It appends payload and delivery rows to two
+growing matrices, which its tally reads sorted by sender at those
+deadlines, and caches its tally of the rows present next to the rule batch
+computed from it.  A step pool lives as long as its step: once the event
+loop pops a time past its release time, the largest finite deadline, the
+runner releases it, which drops its rows, tally, sortition outputs and
+rule batch and closes its delivery matrix.  A node sends for a step before
+its own deadline of that step, so no send joins a released pool; a row
+still queued at the release lands in the closed matrix, which keeps
+nothing.  The final pool keeps only its census, built as votes arrive:
+per content (bits, theta digest), each sender's ``FinalVote`` and that
+vote's arrival times.  A straggler's catch-up check and the closing
+certificate assembly read one column of the arrivals and collect
+references to the votes, and a node that already adopted an output builds
+no second certificate when the instance closes.
 
 The trace keeps one record per event.  A node's decisions at one deadline
 are one ``decide`` record whose note is the tuple of its (component, bit)
@@ -491,34 +493,32 @@ class _Rows:
 
 
 class _Census:
-    """One content's finals: each sender's first vote and its arrival times."""
+    """One content's finals: each sender's vote and its arrival times."""
 
     def __init__(self, n: int):
         self.votes: list[engine.FinalVote] = []
-        self.senders: set[int] = set()
         self.arrivals = _Rows(n, np.float64)
 
 
 class Pool:
-    """All wire variants of one (instance, step), each row stored once.
+    """All wire variants of one (instance, step), one row per send.
 
     A step pool is the record of its step: ``deadlines`` is the step's (n,)
     deadline vector, which its tally and coin reads use, and ``release_at``
-    its largest finite entry.  It appends every accepted variant's payload
-    and delivery row to two growing matrices and caches its tally of the
-    rows present next to ``batch``, the runner's rule batch over it, until
-    ``release`` drops them.  The final pool (``deadlines`` None) keeps only
-    its census: per content (bits, theta digest), the first ``FinalVote``
-    of each sender and its arrival times.  A delivery row joins when the
-    network delivers its queue; every read that needs the rows delivers it
-    first if one of this pool's rows is still queued.
+    its largest finite entry.  It appends every variant's payload and
+    delivery row to two growing matrices and caches its tally of the rows
+    present next to ``batch``, the runner's rule batch over it, until
+    ``release`` drops them; no send comes after that.  The final pool
+    (``deadlines`` None) keeps only its census: per content (bits, theta
+    digest), each sender's ``FinalVote`` and its arrival times.  A delivery
+    row joins when the network delivers its queue; every read that needs
+    the rows delivers it first if one of this pool's rows is still queued.
     """
 
     def __init__(self, net: Network, m: int, deadlines: np.ndarray | None):
         self.net = net
         self.n = net.n
         self.deadlines = deadlines
-        self.digests: set[bytes] = set()
         self.released = False
         self._last: Delivery | None = None  # the latest send whose row this pool keeps
         self._census: dict[tuple, _Census] | None = None
@@ -534,42 +534,33 @@ class Pool:
         self._tally: np.ndarray | None = None  # the counts over the rows present
         self.batch: tuple | None = None  # the runner's (counts, present, rows by node)
 
-    def add(self, sender, payload_row, delivery: Delivery, digest, vrf_out: bytes) -> bool:
-        """Pool one wire variant unless its digest is already here.
+    def add(self, sender, payload_row, delivery: Delivery, vrf_out: bytes):
+        """Pool one wire variant.
 
         ``delivery`` is the variant's queued send; the row it delivers joins
         the pool.  ``vrf_out`` is the sender's sortition output; its leading
         64 bits feed the coin.  A final's payload is (bits, theta digest,
         signature); it joins the census as a ``FinalVote`` (sender,
-        ``vrf_out``, signature) unless its sender already backs that content.
+        ``vrf_out``, signature).
         """
-        if digest in self.digests:
-            return False  # gossip duplicate suppression
-        self.digests.add(digest)
         if self._census is not None:
             key = (payload_row[0], payload_row[1])
             group = self._census.get(key)
             if group is None:
                 group = self._census[key] = _Census(self.n)
-            if sender not in group.senders:
-                group.senders.add(sender)
-                group.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
-                delivery.into, self._last = group.arrivals, delivery
-            return True
-        if self.released:
-            return True
+            group.votes.append(engine.FinalVote(sender, vrf_out, payload_row[2]))
+            delivery.into, self._last = group.arrivals, delivery
+            return
         self.senders.append(sender)
         self.vrf64.append(crypto.u64_from(vrf_out))
         self.payloads.append(payload_row)
         delivery.into, self._last = self.deliveries, delivery
         self._tally = None
-        return True
 
     def release(self):
         """Drop a step pool's rows, sortition outputs, tally and rule batch
-        once no deadline can read them.  ``digests`` stay for duplicate
-        suppression; a queued row of this pool joins the closed matrix,
-        which keeps nothing."""
+        once no deadline can read them.  A queued row of this pool joins the
+        closed matrix, which keeps nothing."""
         self.released = True
         self.deliveries.close()
         self._last = self._tally = self.batch = None
@@ -596,8 +587,8 @@ class Pool:
     def final_groups(self):
         """Finals grouped by content: {(bits, digest): (votes, arrivals)}.
 
-        One vote per sender (first emitted wins); arrivals[j] is the
-        delivery row of votes[j].  Both are the census's own storage.
+        One vote per sender, in send order; arrivals[j] is the delivery row
+        of votes[j].  Both are the census's own storage.
         """
         self._settle()
         return {key: (g.votes, g.arrivals.view()) for key, g in self._census.items()}
@@ -878,14 +869,11 @@ class InstanceRunner:
         sig = net.registry.sign(node, encoded)
         digest = crypto.digest(encoded, sig)
         size = len(encoded) + len(sig)
-        # Queued even when the pool rejects it: the send still moves its
-        # origin's FIFO floor.
         delivery = net.send(node, t_abs, size, digest, plan.dest_mask, plan.delay)
         if step == engine.FINAL_STEP:
             row = (np.asarray(row, dtype=np.uint8).tobytes(), plan.theta_digest, sig)
-        pool = self.pool(step)
-        if pool.add(node, row, delivery, digest, proof.pseudo_vrf_output):
-            self._record(node, t_abs, "send", engine.step_label(step), size, digest[:8].hex())
+        self.pool(step).add(node, row, delivery, proof.pseudo_vrf_output)
+        self._record(node, t_abs, "send", engine.step_label(step), size, digest[:8].hex())
 
     # -- step rules -------------------------------------------------------------
     def step_outcome(self, step: int, node: int) -> tuple[tuple, np.ndarray | None]:
@@ -937,13 +925,11 @@ class InstanceRunner:
         """
         pool = self.pools.get(engine.FINAL_STEP)
         state = self.states[node]
-        if pool is None or len(pool.digests) < self.params.t_adopt:
-            return None
         # The check below acts only on a content held t_adopt times, or
         # t_cert times once the node halted.  When no content can get there
         # even with its queued rows counted as held, it needs no delivery.
-        if not pool.may_hold(node, t_abs, self.params.t_cert if state.halted
-                             else self.params.t_adopt):
+        if pool is None or not pool.may_hold(
+                node, t_abs, self.params.t_cert if state.halted else self.params.t_adopt):
             return None
         census = []
         for key, (votes, arrivals) in pool.final_groups().items():
@@ -1032,7 +1018,7 @@ class InstanceRunner:
         net, params = self.net, self.params
         pool = self.pools.get(engine.FINAL_STEP)
         outputs: dict[int, engine.CobOutput] = {}
-        if pool is None or not pool.digests:
+        if pool is None:
             return InstanceResult(params, self.states, outputs, None, liveness)
         quorum_key, votes, arrivals = None, None, None
         for gkey, (group_votes, arr) in sorted(pool.final_groups().items()):

@@ -7,13 +7,24 @@ intended behaviour change may regenerate the file, and it must say which
 digests moved and why:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The corpus runs once per session, under a line counter.  The same pass
+checks that no send repeats within a run, which the pools rely on instead
+of suppressing duplicates, and that the corpus runs every statement of
+the runner, its pools and the engine's node lifecycle, but for the exempt
+ones listed below.
 """
 
+import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from cobsim import scenario
+import pytest
+
+from cobsim import engine, netsim, scenario
+from line_counter import LineCounter
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_digests.json"
@@ -119,8 +130,11 @@ def failure_paths() -> dict[str, scenario.ScenarioConfig]:
     return cases
 
 
+def run(cfg: scenario.ScenarioConfig):
+    return (scenario.run_chain_scenario if cfg.mode == "chain" else scenario.run_simulate)(cfg)
+
+
 def digest(cfg: scenario.ScenarioConfig) -> str:
-    run = scenario.run_chain_scenario if cfg.mode == "chain" else scenario.run_simulate
     return run(cfg).trace.digest()
 
 
@@ -138,9 +152,69 @@ def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     return lines
 
 
-def test_golden_digests():
-    lines = moved(json.loads(GOLDEN.read_text()), compute())
+# The code whose every statement a pinned case must run.
+COUNTED = [
+    *(fn for cls in (netsim.InstanceRunner, netsim.Pool, netsim._Rows)
+      for fn in vars(cls).values() if inspect.isfunction(fn)),
+    engine.cob_start, engine.initial_send, engine._send, engine._mbba_send,
+    engine._final_send, engine.step_outcomes, engine.on_step_deadline, engine._advance,
+    engine._halt_and_final, engine.adopt_decided_bits, engine.adopt_output,
+    engine.adopt_certificate,
+]
+# (function, statement) that no pinned case runs.  The raises guard the API
+# against misuse: a node passed a deadline that is not its step, a read of
+# a released step pool, decided bits adopted before grading, and a node
+# started twice or with an observation of the wrong length.  The theta-less
+# return is a fault detector: a node that never graded would need a quorum
+# of finals before its own third deadline, and a node with no start (no
+# certificate in the instance before) has no reachable honest signer.  No
+# config reached it in two searches: 217 n=25 runs that got past the
+# bootstrap (equivocate, mixed, withhold_then_release and bit_flip_votes at
+# fractions 0.3-0.7, ring and geometric, two instances, seeds 0-9), and
+# 1396 runs with committees 2-8 (n=26: every adversary at 0.2-0.4, seeds
+# 0-19; n=25: equivocate at 0.2, seeds 0-29).
+EXEMPT = [
+    ("Pool._settle", 'raise RuntimeError("read of a released step pool")'),
+    ("cob_start", "raise ValueError("),
+    ("cob_start",
+     'raise RuntimeError(f"instance already started at node {node}; instances are single-shot")'),
+    ("on_step_deadline",
+     "raise ValueError(f\"deadline {step} does not match the node's step {state.step}\")"),
+    ("adopt_decided_bits",
+     'raise RuntimeError("cannot adopt decisions before the graded phase completed")'),
+    ("adopt_certificate", "return False  # never graded, so it holds no values"),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_run():
+    """(digests, repeated sends, unrun statements) of one corpus pass: per
+    case its digest and every (instance, digest prefix) that more than one
+    send record carries, and the counted statements no case ran."""
+    digests, repeated = {}, {}
+    with LineCounter(COUNTED) as lines:
+        for name, cfg in corpus().items():
+            trace = run(cfg).trace
+            digests[name] = trace.digest()
+            sends = Counter((rec[4], rec[7]) for rec in trace.records if rec[3] == "send")
+            repeated[name] = [key for key, count in sends.items() if count > 1]
+    return digests, repeated, lines.unrun()
+
+
+def test_golden_digests(corpus_run):
+    lines = moved(json.loads(GOLDEN.read_text()), corpus_run[0])
     assert not lines, "golden digests moved:\n" + "\n".join(lines)
+
+
+def test_no_send_repeats_within_a_run(corpus_run):
+    # A node sends one plan per step and a strategy's variants differ in
+    # content, so a pool counts each send once without a digest set (gossip
+    # relays forward each message once).
+    assert {name: keys for name, keys in corpus_run[1].items() if keys} == {}
+
+
+def test_corpus_runs_every_runner_statement(corpus_run):
+    assert sorted(corpus_run[2]) == sorted(EXEMPT)
 
 
 def test_reference_digest_n2000():

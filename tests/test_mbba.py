@@ -124,7 +124,7 @@ def test_common_coin_from_minimum_output():
         digest = crypto.digest(bytes([k]))
         sent.append(net.send(origin, 1.0 - origin, 100, digest))
         vrf_out = vrf.to_bytes(8, "big") + bytes(24)  # the coin reads the leading 64 bits
-        assert pool.add(k, np.zeros(1, dtype=np.int32), sent[-1], digest, vrf_out)
+        pool.add(k, np.zeros(1, dtype=np.int32), sent[-1], vrf_out)
     assert all(d.row is None for d in sent)  # queued until a read needs the rows
     mins, present = pool.min_vrf()
     assert [d.row[1] > 1.0 for d in sent] == [True, False, True, False]

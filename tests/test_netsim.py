@@ -13,21 +13,19 @@ from test_golden import GOLDEN, SCALE_N100, corpus
 
 
 def spy_pool_rows(monkeypatch) -> dict:
-    """Record every row a ``Pool`` accepts, in arrival order, keyed by the pool.
+    """Record every row added to a ``Pool``, in send order, keyed by the pool.
 
     Each entry is (sender, payload row, delivery, sortition output), as the
-    runner offered it; the pool's own storage is not consulted.  The
+    runner added it; the pool's own storage is not consulted.  The
     delivery's ``row`` is set once the network delivers its queue.  Keying
     by the pool keeps it alive, so no later pool can share its key.
     """
     rows: dict[netsim.Pool, list] = {}
     add = netsim.Pool.add
 
-    def spy(pool, sender, payload_row, delivery, digest, vrf_out):
-        accepted = add(pool, sender, payload_row, delivery, digest, vrf_out)
-        if accepted:
-            rows.setdefault(pool, []).append((sender, payload_row, delivery, vrf_out))
-        return accepted
+    def spy(pool, sender, payload_row, delivery, vrf_out):
+        add(pool, sender, payload_row, delivery, vrf_out)
+        rows.setdefault(pool, []).append((sender, payload_row, delivery, vrf_out))
 
     monkeypatch.setattr(netsim.Pool, "add", spy)
     return rows
@@ -529,14 +527,10 @@ def test_step_pool_tallies_match_the_raw_rows(monkeypatch, case, late_rows):
     assert (rebatched > 0) == late_rows
 
 
-def reference_rows(net, sends, floor_skips=()):
-    """Each queued send delivered alone, in send order: the per-message model.
-
-    Sends at the positions in ``floor_skips`` leave their origin's FIFO
-    floor alone, which shows whether those sends matter at all.
-    """
+def reference_rows(net, sends):
+    """Each queued send delivered alone, in send order: the per-message model."""
     floor, rows = {}, []
-    for i, d in enumerate(sends):
+    for d in sends:
         row = _kernels.delivery_times([d.t_send], net.hops[[d.origin]], [d.seed],
                                       net.d_min, net.d_max, [d.cap])[0]
         if d.dest_mask is not None:
@@ -550,8 +544,7 @@ def reference_rows(net, sends, floor_skips=()):
         else:
             if d.origin in floor:
                 row = np.maximum(row, floor[d.origin])
-            if i not in floor_skips:
-                floor[d.origin] = row
+            floor[d.origin] = row
         rows.append(row)
     return rows
 
@@ -559,16 +552,14 @@ def reference_rows(net, sends, floor_skips=()):
 @pytest.mark.parametrize("cells", [netsim.DELIVERY_CELLS, 64])
 def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
     # A random send sequence through the runner: honest and byzantine
-    # origins, repeated origins, destination masks, delays, and re-sends of
-    # an earlier message that the pool rejects as duplicates.  Mid-stream
-    # the iteration-0 pools are released, some of their rows still queued.
-    # Delivered after every send or once at the end, in one chunk or many,
-    # each row is the one the message gets when sent alone at its turn, and
-    # each open pool holds the rows of the sends it accepted.  A row still
-    # queued at its pool's release is delivered into the closed matrix,
-    # which stays empty.  A released pool still rejects duplicates and
-    # accepts and traces a new send, whose row joins no matrix but still
-    # moves its origin's FIFO floor.
+    # origins, repeated origins, destination masks and delays.  Mid-stream
+    # the iteration-0 pools are released, some of their rows still queued,
+    # and the later sends go to iteration 1, as a run's do: no node sends
+    # for a step past its deadline.  Delivered after every send or once at
+    # the end, in one chunk or many, each row is the one the message gets
+    # when sent alone at its turn, and each open pool holds the rows of its
+    # sends.  A row still queued at its pool's release is delivered into
+    # the closed matrix, which stays empty.
     monkeypatch.setattr(netsim, "DELIVERY_CELLS", cells)
     sends: list[netsim.Delivery] = []
     send = netsim.Network.send
@@ -586,8 +577,7 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
                                   crypto.digest(b"queue"), net.registry, net.n)
         runner = netsim.InstanceRunner(net, params, [[b"a", b"b", b"c"]] * net.n)
         rng = np.random.default_rng(8)
-        t, emitted, duplicates = 0.0, [], []
-        released, detached, late_new, late_dup = set(), [], [], []
+        t, released, detached = 0.0, set(), []
         for i in range(160):
             if i == 60:
                 for key, pool in runner.pools.items():
@@ -596,30 +586,19 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
                                      if d.into is pool.deliveries and d.row is None]
                         pool.release()
                         released.add(key)
-            traced = len(net.trace.records)
-            known = sum(len(pool.digests) for pool in runner.pools.values())
-            if emitted and i % 9 == 4:
-                node, _, plan = emitted[int(rng.integers(0, len(emitted)))]
-                duplicates.append(len(sends))
-                runner._emit(node, t + float(rng.uniform(0.0, 0.5)), plan)  # a later re-send
-            else:
-                node = int(rng.choice([0, 1, 2, 3, 7, 0, 1]))
-                t += float(rng.choice([0.0, 0.01, 0.2]))
-                key = engine.AGREEMENT + 3 * int(rng.integers(0, 2)) + int(rng.integers(0, 3))
-                row = engine.vote_row(rng.integers(0, 2, 3), rng.integers(0, 2, 3))
-                mask = rng.random(net.n) < 0.5 if node in net.byz and i % 3 == 0 else None
-                delay = float(rng.uniform(0, 0.3)) if node in net.byz and i % 5 == 0 else 0.0
-                plan = engine.SendPlan(key, row, params.draw(key, node), None, mask, delay)
-                emitted.append((node, t, plan))
-                runner._emit(node, t, plan)
-            if plan.step in released:
-                new = sum(len(pool.digests) for pool in runner.pools.values()) > known
-                (late_new if new else late_dup).append(len(sends) - 1)
-                assert len(net.trace.records) == traced + new  # a new send is traced
-                assert sends[-1].into is None
+            node = int(rng.choice([0, 1, 2, 3, 7, 0, 1]))
+            t += float(rng.choice([0.0, 0.01, 0.2]))
+            iteration = 1 if released else int(rng.integers(0, 2))
+            key = engine.AGREEMENT + 3 * iteration + int(rng.integers(0, 3))
+            row = engine.vote_row(rng.integers(0, 2, 3), rng.integers(0, 2, 3))
+            mask = rng.random(net.n) < 0.5 if node in net.byz and i % 3 == 0 else None
+            delay = float(rng.uniform(0, 0.3)) if node in net.byz and i % 5 == 0 else 0.0
+            runner._emit(node, t, engine.SendPlan(key, row, params.draw(key, node), None,
+                                                  mask, delay))
             if flush_each:
                 net.deliver()
         net.deliver()
+        assert all(d.into is not None for d in sends)  # every send is pooled
         want = reference_rows(net, sends)
         assert all(np.array_equal(d.row, w) for d, w in zip(sends, want))
         for key, pool in runner.pools.items():
@@ -631,48 +610,32 @@ def test_queued_delivery_matches_sending_alone(monkeypatch, cells):
         # rows queued at their pool's release were delivered into its closed matrix
         assert (len(detached) > 0) == (not flush_each)
         assert all(d.into is pool.deliveries and d.row is not None for pool, d in detached)
-        assert len(late_new) > 10 and len(late_dup) > 2
-        # the rejected re-sends still move their origins' FIFO floors
-        rejected = [i for i in duplicates if sends[i].into is None]
-        assert len(rejected) == len(duplicates) > 5
-        skipped = reference_rows(net, sends, floor_skips=set(rejected))
-        assert any(not np.array_equal(a, b) for a, b in zip(want, skipped))
-        # and so do the new sends into a released pool
-        skipped = reference_rows(net, sends, floor_skips=set(late_new))
-        assert any(not np.array_equal(a, b) for a, b in zip(want, skipped))
         runs.append([d.row for d in sends])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_released_step_pool_refuses_reads():
-    # A released pool raises on a tally or coin read, keeps rejecting
-    # duplicates, and accepts a new digest without keeping its row.  A row
-    # still queued at the release lands in the closed matrix, which keeps
-    # nothing.
+    # A released pool raises on a tally or coin read.  A row still queued
+    # at the release lands in the closed matrix, which keeps nothing.
     net = make_network(n=6, seed=2)
     deadlines = np.full(net.n, 5.0)
     deadlines[3] = np.inf  # a node that never reaches the step
     pool = netsim.Pool(net, 2, deadlines)
     assert pool.release_at == 5.0
     assert netsim.Pool(net, 2, np.full(net.n, np.inf)).release_at == -np.inf
-    first, second, third = (crypto.digest(w) for w in (b"first", b"second", b"third"))
     row = np.array([1, 2], dtype=np.int32)
-    assert pool.add(0, row, net.send(0, 0.0, 10, first), first, bytes(32))
+    pool.add(0, row, net.send(0, 0.0, 10, crypto.digest(b"first")), bytes(32))
     assert pool.tally(3).sum() > 0  # delivers the queue
     assert pool.min_vrf()[1].any()
-    queued = net.send(2, 0.5, 10, third)
-    assert pool.add(2, row, queued, third, bytes(32))
+    queued = net.send(2, 0.5, 10, crypto.digest(b"second"))
+    pool.add(2, row, queued, bytes(32))
     pool.release()
     assert pool.batch is None and pool._tally is None and queued.into is pool.deliveries
     for read in (lambda: pool.tally(3), lambda: pool.min_vrf()):
         with pytest.raises(RuntimeError, match="released"):
             read()
-    assert not pool.add(0, row, net.send(0, 1.0, 10, first), first, bytes(32))
-    late = net.send(1, 1.0, 10, second)
-    assert pool.add(1, row, late, second, bytes(32))
-    assert late.into is None and pool.digests == {first, second, third}
     net.deliver()
-    assert late.row is not None and queued.row is not None and pool.deliveries.size == 0
+    assert queued.row is not None and pool.deliveries.size == 0
 
 
 @pytest.mark.parametrize("case", [
@@ -687,7 +650,7 @@ def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
     # node's deadline a step pool is released exactly when the event loop
     # has passed that time, so only the pools still open hold a tally or a
     # rule batch.  After the run every step pool is released and holds no
-    # rows, tally or batch; its digests and the final pool's census stay.
+    # rows, tally or batch; the final pool's census stays.
     runners, reads, open_reads = [], Counter(), Counter()
     step_outcome = netsim.InstanceRunner.step_outcome
     on_deadline = netsim.InstanceRunner._on_deadline
@@ -730,7 +693,6 @@ def test_step_pools_live_only_as_long_as_their_step(monkeypatch, case):
         assert not runner._open
         finite_starts = runner.start_abs[np.isfinite(runner.start_abs)]
         for key, pool in runner.pools.items():
-            assert pool.digests
             if key == engine.FINAL_STEP:
                 assert not pool.released and pool.final_groups()
                 continue
