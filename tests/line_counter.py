@@ -26,8 +26,7 @@ def _statements(fn) -> list[tuple[range, str, str]]:
     nested ones included, in source order."""
     lines, first = inspect.getsourcelines(fn)
     tree = ast.parse(textwrap.dedent("".join(lines)))
-    func = tree.body[0]
-    body = func.body
+    body = tree.body[0].body
     if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
         body = body[1:]  # the docstring
     found = []

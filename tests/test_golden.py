@@ -8,7 +8,7 @@ digests moved and why:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-The corpus runs once per session, under a line counter.  The same pass
+The corpus runs once per test run, under a line counter.  The same pass
 checks that no send repeats within a run, which the pools rely on instead
 of suppressing duplicates, and that the corpus runs every statement of
 the runner, its pools and the engine's node lifecycle, but for the exempt
